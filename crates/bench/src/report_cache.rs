@@ -11,7 +11,7 @@
 //! * **grouped protocol reports** — [`dap_core::PreparedReports`]: the
 //!   shuffled [`dap_core::GroupPlan`] plus each honest user's `k_t`
 //!   reports at `ε_t` (the DAP/SW-DAP cells, replayed through
-//!   [`dap_core::Dap::run_schemes_prepared`]).
+//!   [`dap_core::Dap::run_schemes_prepared_with`]).
 //!
 //! The determinism contract mirrors [`dap_datasets::PopulationCache`]: the
 //! generation RNG stream is derived from the key alone — `(dataset,
@@ -189,7 +189,7 @@ impl ReportCache {
 
     /// The protocol's stages 1–2 for a population — shuffled plan plus
     /// per-group honest reports — frozen for replay through
-    /// [`Dap::run_schemes_prepared`]. `ε₀` must match the replaying
+    /// [`Dap::run_schemes_prepared_with`]. `ε₀` must match the replaying
     /// session's config (the replay rejects mismatches).
     pub fn prepared(
         &self,

@@ -746,11 +746,28 @@ fn encode_error(s: &mut String, e: &WireError) {
 /// [`WireError::BadFrame`] naming the missing piece.
 struct Tokens<'a> {
     it: std::str::SplitWhitespace<'a>,
+    /// Address one past the body's last byte.
+    end: usize,
+    /// Body bytes after the last token handed out.
+    remaining: usize,
 }
 
 impl<'a> Tokens<'a> {
     fn new(body: &'a str) -> Tokens<'a> {
-        Tokens { it: body.split_whitespace() }
+        Tokens {
+            it: body.split_whitespace(),
+            end: body.as_ptr() as usize + body.len(),
+            remaining: body.len(),
+        }
+    }
+
+    /// A capacity for `count` items of at least `tokens_each` tokens each,
+    /// clamped to what the rest of the body can hold. Every token takes at
+    /// least 2 bytes counting its separator, so a count read off the wire
+    /// never reserves more than the frame itself carries. Honest frames
+    /// always satisfy the bound, so their capacity is exactly `count`.
+    fn capacity(&self, count: usize, tokens_each: usize) -> usize {
+        count.min(self.remaining / (2 * tokens_each))
     }
 
     fn bad(what: &str) -> WireError {
@@ -758,7 +775,9 @@ impl<'a> Tokens<'a> {
     }
 
     fn next(&mut self, what: &str) -> Result<&'a str, WireError> {
-        self.it.next().ok_or_else(|| Self::bad(what))
+        let token = self.it.next().ok_or_else(|| Self::bad(what))?;
+        self.remaining = self.end - (token.as_ptr() as usize + token.len());
+        Ok(token)
     }
 
     fn usize(&mut self, what: &str) -> Result<usize, WireError> {
@@ -808,13 +827,13 @@ impl<'a> Tokens<'a> {
 fn parse_part(t: &mut Tokens) -> Result<SessionPart, WireError> {
     let digest = t.hex_u64("part digest")?;
     let n_groups = t.usize("part group count")?;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = Vec::with_capacity(t.capacity(n_groups, 4));
     for _ in 0..n_groups {
         t.literal("group")?;
         let n_reports = t.usize("group report count")?;
         let sum_reports = t.hex_f64("group report sum")?;
         let n_buckets = t.usize("group bucket count")?;
-        let mut counts = Vec::with_capacity(n_buckets);
+        let mut counts = Vec::with_capacity(t.capacity(n_buckets, 1));
         for _ in 0..n_buckets {
             counts.push(t.hex_f64("bucket count")?);
         }
@@ -824,7 +843,7 @@ fn parse_part(t: &mut Tokens) -> Result<SessionPart, WireError> {
     if t.peek() == Some("seqs") {
         t.literal("seqs")?;
         let n = t.usize("channel count")?;
-        channels.reserve(n);
+        channels.reserve(t.capacity(n, 2));
         for _ in 0..n {
             let channel = t.hex_u64("channel id")?;
             let seq = t.u64("channel seq")?;
@@ -840,11 +859,11 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
     let index = t.usize("masked-part index")?;
     let commitment = t.hex_u64("masked-part commitment")?;
     let n_groups = t.usize("masked-part group count")?;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = Vec::with_capacity(t.capacity(n_groups, 2));
     for _ in 0..n_groups {
         t.literal("mgroup")?;
         let n_buckets = t.usize("masked group bucket count")?;
-        let mut counts = Vec::with_capacity(n_buckets);
+        let mut counts = Vec::with_capacity(t.capacity(n_buckets, 1));
         for _ in 0..n_buckets {
             counts.push(t.hex_u64("masked bucket word")?);
         }
@@ -854,7 +873,7 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
     if t.peek() == Some("seqs") {
         t.literal("seqs")?;
         let n = t.usize("channel count")?;
-        channels.reserve(n);
+        channels.reserve(t.capacity(n, 2));
         for _ in 0..n {
             let channel = t.hex_u64("channel id")?;
             let seq = t.u64("channel seq")?;
@@ -866,7 +885,7 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
 
 fn parse_outputs(t: &mut Tokens) -> Result<Vec<DapOutput>, WireError> {
     let n = t.usize("output count")?;
-    let mut outputs = Vec::with_capacity(n);
+    let mut outputs = Vec::with_capacity(t.capacity(n, 6));
     for _ in 0..n {
         t.literal("output")?;
         let mean = t.hex_f64("output mean")?;
@@ -880,7 +899,7 @@ fn parse_outputs(t: &mut Tokens) -> Result<Vec<DapOutput>, WireError> {
         let gamma = t.hex_f64("output gamma")?;
         let min_variance = t.hex_f64("output min_variance")?;
         let n_groups = t.usize("output group count")?;
-        let mut groups = Vec::with_capacity(n_groups);
+        let mut groups = Vec::with_capacity(t.capacity(n_groups, 7));
         for _ in 0..n_groups {
             t.literal("g")?;
             groups.push(GroupReport {
@@ -1037,7 +1056,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
         "ingest-batch" => {
             let group = t.usize("group")?;
             let count = t.usize("report count")?;
-            let mut reports = Vec::with_capacity(count);
+            let mut reports = Vec::with_capacity(t.capacity(count, 1));
             for _ in 0..count {
                 reports.push(t.hex_f64("report")?);
             }
@@ -1048,7 +1067,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
             let seq = t.u64("seq")?;
             let group = t.usize("group")?;
             let count = t.usize("report count")?;
-            let mut reports = Vec::with_capacity(count);
+            let mut reports = Vec::with_capacity(t.capacity(count, 1));
             for _ in 0..count {
                 reports.push(t.hex_f64("report")?);
             }
@@ -1059,7 +1078,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
             let seq = t.u64("seq")?;
             let group = t.usize("group")?;
             let count = t.usize("share word count")?;
-            let mut counts = Vec::with_capacity(count);
+            let mut counts = Vec::with_capacity(t.capacity(count, 1));
             for _ in 0..count {
                 counts.push(t.hex_u64("share word")?);
             }
@@ -1104,7 +1123,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
         "merge" => Frame::Merge { part: parse_part(&mut t)? },
         "finalize" => {
             let count = t.usize("scheme count")?;
-            let mut schemes = Vec::with_capacity(count);
+            let mut schemes = Vec::with_capacity(t.capacity(count, 1));
             for _ in 0..count {
                 let label = t.next("scheme label")?;
                 schemes.push(Scheme::from_label(label).ok_or_else(|| WireError::BadFrame {
@@ -2778,6 +2797,30 @@ mod tests {
                 assert!(message.contains("empty population"), "{message}");
             }
             other => panic!("expected failed, got {other:?}"),
+        }
+    }
+
+    /// Counts on the wire are untrusted: an absurd one must fail to parse,
+    /// never size an allocation (which would abort the process).
+    #[test]
+    fn absurd_counts_are_typed_errors() {
+        let max = usize::MAX;
+        for body in [
+            "ingest-batch 0 1000000000000".to_string(),
+            format!("seq-batch 0x1 1 0 {max}"),
+            format!("share-batch 0x1 1 0 {max}"),
+            format!("finalize {max}"),
+            format!("part 0x1 {max}"),
+            format!("part 0x1 1 group 0 0x0 {max}"),
+            format!("part 0x1 0 seqs {max}"),
+            format!("masked-part 0x1 2 0 0x2 {max}"),
+            format!("masked-part 0x1 2 0 0x2 1 mgroup {max}"),
+            format!("outputs {max}"),
+        ] {
+            assert!(
+                matches!(decode_frame(&body), Err(WireError::BadFrame { .. })),
+                "{body}"
+            );
         }
     }
 

@@ -364,9 +364,9 @@ where
     /// but never on what the coalition will send. A caller sweeping
     /// attacks, defenses, or schemes over one population (the experiment
     /// engine's report cache) can therefore prepare once and replay via
-    /// [`Dap::run_schemes_prepared`], paying for perturbation a single
-    /// time. The privacy contract is enforced here, where the spending
-    /// happens.
+    /// [`Dap::poison_batches`] + [`Dap::run_schemes_prepared_with`], paying
+    /// for perturbation a single time. The privacy contract is enforced
+    /// here, where the spending happens.
     pub fn prepare_reports<R: RngCore>(
         &self,
         honest: &[f64],
@@ -411,24 +411,6 @@ where
             eps: cfg.eps,
             eps0: cfg.eps0,
         })
-    }
-
-    /// [`Dap::run_schemes_on`] with stages 1–2 replayed from a
-    /// [`PreparedReports`]: the cached honest reports are ingested verbatim
-    /// and only the coalition's reports are drawn fresh from `rng`.
-    ///
-    /// The prepared value must come from a [`Dap`] with the same grouping
-    /// parameters (ε, ε₀) and population shape; mismatches are rejected so
-    /// a stale cache entry cannot silently aggregate under the wrong plan.
-    pub fn run_schemes_prepared<R: RngCore>(
-        &self,
-        prepared: &PreparedReports,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<DapOutput>, DapError> {
-        let poison = self.poison_batches(prepared, attack, rng)?;
-        self.run_schemes_prepared_with(prepared, &poison, schemes)
     }
 
     /// The coalition's reports against a [`PreparedReports`], one batch per
@@ -512,7 +494,7 @@ where
 /// Stages 1–2 of a protocol run, frozen for replay: the shuffled
 /// [`GroupPlan`] plus every honest user's perturbed reports, per group in
 /// assignment order. Produced by [`Dap::prepare_reports`], consumed by
-/// [`Dap::run_schemes_prepared`]; the experiment engine caches these so a
+/// [`Dap::run_schemes_prepared_with`]; the experiment engine caches these so a
 /// population swept across attacks and defenses is perturbed exactly once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedReports {
@@ -683,8 +665,8 @@ mod tests {
             .run_schemes_on(&honest, 0, &NoAttack, &schemes, &mut seeded(12))
             .unwrap();
         let prepared = dap.prepare_reports(&honest, 0, &mut seeded(12)).unwrap();
-        let replayed =
-            dap.run_schemes_prepared(&prepared, &NoAttack, &schemes, &mut seeded(99)).unwrap();
+        let poison = dap.poison_batches(&prepared, &NoAttack, &mut seeded(99)).unwrap();
+        let replayed = dap.run_schemes_prepared_with(&prepared, &poison, &schemes).unwrap();
         for (a, b) in inline.iter().zip(&replayed) {
             assert_eq!(a.mean.to_bits(), b.mean.to_bits());
             assert_eq!(a.gamma.to_bits(), b.gamma.to_bits());
@@ -710,12 +692,11 @@ mod tests {
             .sum();
         assert_eq!(n_honest_reports, expected);
 
-        let a = dap
-            .run_schemes_prepared(&prepared, &attack, &[Scheme::EmfStar], &mut seeded(15))
-            .unwrap();
-        let b = dap
-            .run_schemes_prepared(&prepared, &attack, &[Scheme::EmfStar], &mut seeded(15))
-            .unwrap();
+        let replay = || {
+            let poison = dap.poison_batches(&prepared, &attack, &mut seeded(15)).unwrap();
+            dap.run_schemes_prepared_with(&prepared, &poison, &[Scheme::EmfStar]).unwrap()
+        };
+        let (a, b) = (replay(), replay());
         assert_eq!(a[0].mean.to_bits(), b[0].mean.to_bits());
         assert!((a[0].mean - truth).abs() < 0.1, "mean {} truth {}", a[0].mean, truth);
     }
@@ -726,9 +707,11 @@ mod tests {
         let prepared =
             pm_dap(0.5, Scheme::Emf).prepare_reports(&honest, 100, &mut seeded(18)).unwrap();
         let other = pm_dap(1.0, Scheme::Emf);
-        let err = other
-            .run_schemes_prepared(&prepared, &NoAttack, &[Scheme::Emf], &mut seeded(19))
-            .unwrap_err();
+        let err = other.poison_batches(&prepared, &NoAttack, &mut seeded(19)).unwrap_err();
+        assert!(matches!(err, DapError::InvalidConfig { field: "prepared reports", .. }));
+        let no_poison = vec![Vec::new(); prepared.group_reports.len()];
+        let err =
+            other.run_schemes_prepared_with(&prepared, &no_poison, &[Scheme::Emf]).unwrap_err();
         assert!(matches!(err, DapError::InvalidConfig { field: "prepared reports", .. }));
     }
 

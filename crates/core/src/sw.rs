@@ -292,61 +292,6 @@ impl SwDap {
             .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
             .collect())
     }
-
-    /// The SW analogue of [`crate::Dap::prepare_reports`]: grouping plus
-    /// honest perturbation, frozen for replay.
-    pub fn prepare_reports<R: RngCore>(
-        &self,
-        honest: &[f64],
-        byzantine: usize,
-        rng: &mut R,
-    ) -> Result<crate::protocol::PreparedReports, DapError> {
-        Dap::new(self.config.session_config(), SquareWave::new)?
-            .prepare_reports(honest, byzantine, rng)
-    }
-
-    /// The SW analogue of [`crate::Dap::run_schemes_prepared`]: replays
-    /// cached honest reports, draws only the coalition's fresh.
-    pub fn run_schemes_prepared<R: RngCore>(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_prepared(prepared, attack, schemes, rng)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
-    }
-
-    /// The SW analogue of [`crate::Dap::poison_batches`].
-    pub fn poison_batches<R: RngCore>(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        attack: &dyn Attack,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<f64>>, DapError> {
-        Dap::new(self.config.session_config(), SquareWave::new)?
-            .poison_batches(prepared, attack, rng)
-    }
-
-    /// The SW analogue of [`crate::Dap::run_schemes_prepared_with`].
-    pub fn run_schemes_prepared_with(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        poison: &[Vec<f64>],
-        schemes: &[Scheme],
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_prepared_with(prepared, poison, schemes)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
-    }
 }
 
 #[cfg(test)]

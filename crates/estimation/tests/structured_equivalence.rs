@@ -6,7 +6,10 @@
 //! reference — but they must agree to ≤ 1e-12 per component at every
 //! iteration count, across every mechanism, budget, and poison region the
 //! protocol uses. This is the acceptance bound the perf work is held to.
+//! The `dot` kernel behind the band gather is also pinned on its own,
+//! against a compensated reference.
 
+use dap_estimation::em::kernels::dot;
 use dap_estimation::em::{self, EmOptions, MStep};
 use dap_estimation::{PoisonRegion, TransformMatrix};
 use dap_ldp::{Duchi, NumericMechanism, PiecewiseMechanism, SquareWave};
@@ -64,7 +67,38 @@ fn assert_equivalent(matrix: &TransformMatrix, counts: &[f64], mstep: MStep) {
     }
 }
 
+fn kahan_dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut sum = 0.0f64;
+    let mut c = 0.0f64;
+    for (&x, &y) in a.iter().zip(b) {
+        let term = x * y - c;
+        let t = sum + term;
+        c = (t - sum) - term;
+        sum = t;
+    }
+    sum
+}
+
+fn random_vec(seed: u64, len: usize) -> Vec<f64> {
+    let mut rng = dap_estimation::rng::seeded(seed);
+    (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect()
+}
+
 proptest! {
+    /// The four-accumulator `dot` stays within 1e-12 (relative to the
+    /// magnitude sum) of a compensated reference, scalar tail included.
+    #[test]
+    fn dot_matches_kahan(
+        len in 1usize..320,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = random_vec(seed, len);
+        let b = random_vec(seed.wrapping_add(2), len);
+        let reference = kahan_dot(&a, &b);
+        let scale = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum::<f64>().max(1.0);
+        prop_assert!((dot(&a, &b) - reference).abs() / scale <= 1e-12);
+    }
+
     /// PM: random ε ∈ [1/16, 4], random grid sizes, random poison regions,
     /// random count histograms — structured ≡ dense to 1e-12 per iteration.
     #[test]
@@ -103,10 +137,9 @@ proptest! {
         assert_equivalent(&matrix, &counts, MStep::Constrained { gamma: 0.3 });
     }
 
-    /// Odd and prime output-grid sizes: every band length is coprime to the
-    /// kernel lane width, so the lane path (when the `lane-kernels` feature
-    /// is on) exercises its zero-padded tails on every single column — and
-    /// the portable path its scalar remainders.
+    /// Odd and prime output-grid sizes, so band lengths are not tied to
+    /// multiples of the `dot` kernel's four-wide chunk and the structured
+    /// path exercises its scalar remainders.
     #[test]
     fn prime_d_out_structured_matches_dense(
         eps in 0.0625f64..4.0,
