@@ -371,22 +371,16 @@ fn main() {
         // (hits + misses) proves cross-cell reuse of both the sampled
         // values and the perturbed reports built from them.
         let (pop, rep) = dap_bench::engine::cache_stats();
-        eprintln!(
-            "[population cache: {} hits, {} misses, {} evictions — {} generations served {} requests]",
-            pop.hits,
-            pop.misses,
-            pop.evictions,
-            pop.misses,
-            pop.hits + pop.misses
-        );
-        eprintln!(
-            "[report cache: {} hits, {} misses, {} evictions — {} perturbations served {} requests]",
-            rep.hits,
-            rep.misses,
-            rep.evictions,
-            rep.misses,
-            rep.hits + rep.misses
-        );
+        for (cache, work, s) in [("population", "generations", pop), ("report", "perturbations", rep)] {
+            eprintln!(
+                "[{cache} cache: {} hits, {} misses, {} evictions — {} {work} served {} requests]",
+                s.hits,
+                s.misses,
+                s.evictions,
+                s.misses,
+                s.hits + s.misses
+            );
+        }
     }
     if let Some(path) = out_path {
         let set = ResultSet::build(&id, &opts, None, &cells, &all_results);

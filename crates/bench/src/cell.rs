@@ -24,6 +24,7 @@ use dap_attack::{
 };
 use dap_core::{Scheme, Weighting};
 use dap_datasets::Dataset;
+use dap_estimation::rng::Fnv;
 
 /// Identifier of one paper artifact (subcommand of `experiments`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +222,7 @@ impl AttackSpec {
         }
     }
 
-    fn feed(self, h: &mut StreamHasher) {
+    fn feed(self, h: &mut Fnv) {
         match self {
             AttackSpec::None => h.word(0),
             AttackSpec::Poi(range) => {
@@ -557,8 +558,8 @@ impl CellKind {
         c
     }
 
-    fn feed(&self, h: &mut StreamHasher) {
-        fn feed_scheme_set(h: &mut StreamHasher, set: SchemeSet) {
+    fn feed(&self, h: &mut Fnv) {
+        fn feed_scheme_set(h: &mut Fnv, set: SchemeSet) {
             match set {
                 SchemeSet::All => h.word(100),
                 SchemeSet::One(s) => h.word(s as u64),
@@ -691,7 +692,7 @@ impl Cell {
     /// panel, typed parameters). Independent of enumeration order, shard
     /// layout and thread count by construction.
     pub fn stream(&self) -> u64 {
-        let mut h = StreamHasher::new();
+        let mut h = Fnv::new();
         h.bytes(self.experiment.name().as_bytes());
         h.bytes(self.panel.as_bytes());
         self.kind.feed(&mut h);
@@ -706,39 +707,6 @@ impl Cell {
     /// Rep count under `opts`.
     pub fn reps(&self, opts: &ExpOptions) -> usize {
         self.kind.reps(opts)
-    }
-}
-
-/// FNV-1a over little-endian words — the stable coordinate hash behind
-/// [`Cell::stream`] (no `std::hash` involvement, so the ids are stable
-/// across Rust versions and can be pinned in golden files).
-pub struct StreamHasher(u64);
-
-impl StreamHasher {
-    /// Fresh hasher at the FNV offset basis.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> StreamHasher {
-        StreamHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feeds one word.
-    pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// Feeds raw bytes (length-prefixed so `"ab" + "c"` ≠ `"a" + "bc"`).
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -28,10 +28,9 @@ use dap_datasets::{covid_frequencies, sample_covid, Dataset, PopulationCache, CO
 use dap_defenses::{KMeansDefense, MeanDefense, Ostrich, Trimming};
 use dap_emf::{cemf_star, cemf_star_threshold, emf, emf_star, probe_side, ByzantineFeatures, EmfConfig};
 use dap_estimation::stats::{mean, wasserstein_1};
-use dap_estimation::{ems, Grid, PoisonRegion};
+use dap_estimation::{ems, Grid, MemoStats, PoisonRegion};
 use dap_ldp::{Duchi, Epsilon, NumericMechanism, PiecewiseMechanism, SquareWave};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The structured outcome of one cell: its position in the enumeration,
 /// its coordinate-derived stream id, and one folded value per variant.
@@ -80,7 +79,7 @@ pub fn run_cells_subset(opts: &ExpOptions, cells: &[Cell], indices: &[usize]) ->
 /// cache (sampled values) and the report cache (perturbed reports) — so
 /// tests and the `experiments all` footer read the same numbers through
 /// one call.
-pub fn cache_stats() -> (dap_datasets::CacheStats, crate::report_cache::ReportCacheStats) {
+pub fn cache_stats() -> (MemoStats, MemoStats) {
     (PopulationCache::global().stats(), ReportCache::global().stats())
 }
 
@@ -138,17 +137,6 @@ fn fold(cell: &Cell, reps: &[RepOut]) -> Vec<f64> {
             acc
         }
     }
-}
-
-/// Fetches the (cached) population for a sampling coordinate.
-fn population(
-    opts: &ExpOptions,
-    dataset: Dataset,
-    domain: Domain,
-    gamma: f64,
-    trial: usize,
-) -> Arc<SampledPopulation> {
-    PopulationCache::global().population(dataset, domain, opts.n, gamma, opts.seed, trial as u64)
 }
 
 /// The matching report-cache coordinate for a sampling coordinate.
@@ -220,7 +208,7 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
     let mut rng = trial_rng(opts, cell.stream(), t);
     match &cell.kind {
         CellKind::DatasetHist { dataset, buckets } => {
-            let sp = population(opts, *dataset, Domain::Signed, 0.0, t);
+            let sp = report_coord(opts, *dataset, Domain::Signed, 0.0, t).population();
             let mut estimates = vec![sp.truth];
             estimates.extend(Grid::new(-1.0, 1.0, *buckets).frequencies(&sp.honest));
             RepOut { estimates, truth: sp.truth }
@@ -247,8 +235,8 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::PmMse { dataset, gamma, eps, attack, schemes, defenses, weighting, mechanism } => {
-            let sp = population(opts, *dataset, Domain::Signed, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Signed, *gamma, t);
+            let sp = coord.population();
             // `scheme` in the config is ignored by the prepared replay.
             let cfg = DapConfig {
                 max_d_out: opts.max_d_out,
@@ -290,23 +278,23 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::RawMean { dataset, gamma, eps, attack, mechanism } => {
-            let sp = population(opts, *dataset, Domain::Signed, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Signed, *gamma, t);
+            let sp = coord.population();
             let reports = mech_batch(&coord, *eps, *mechanism, *attack);
             RepOut { estimates: vec![mean(&reports)], truth: sp.truth }
         }
 
         CellKind::KMeans { dataset, gamma, eps, attack, beta, subsets } => {
-            let sp = population(opts, *dataset, Domain::Signed, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Signed, *gamma, t);
+            let sp = coord.population();
             let reports = pm_batch(&coord, *eps, *attack);
             let defense = KMeansDefense::new(*beta, *subsets);
             RepOut { estimates: vec![defense.estimate_mean(&reports, &mut rng)], truth: sp.truth }
         }
 
         CellKind::ImaEmf { dataset, gamma, eps, g } => {
-            let sp = population(opts, *dataset, Domain::Signed, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Signed, *gamma, t);
+            let sp = coord.population();
             let reports = pm_batch(&coord, *eps, AttackSpec::Ima { g: *g });
             let cfg = EmfConfig::capped(reports.len(), *eps, opts.max_d_out);
             let mech = PiecewiseMechanism::new(Epsilon::of(*eps));
@@ -315,8 +303,8 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::SwWasserstein { dataset, gamma, eps } => {
-            let sp = population(opts, *dataset, Domain::Unit, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Unit, *gamma, t);
+            let sp = coord.population();
             let reports = sw_batch(&coord, *eps, AttackSpec::SwTop);
             let mech = SquareWave::new(Epsilon::of(*eps));
             let (cfg, counts, matrix) = crate::common::emf_setup(
@@ -373,8 +361,8 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::SwMse { dataset, gamma, eps } => {
-            let sp = population(opts, *dataset, Domain::Unit, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Unit, *gamma, t);
+            let sp = coord.population();
             let cfg = SwDapConfig {
                 max_d_out: opts.max_d_out,
                 ..SwDapConfig::paper_default(*eps, Scheme::Emf)
@@ -391,8 +379,8 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::SwDefense { dataset, gamma, eps } => {
-            let sp = population(opts, *dataset, Domain::Unit, *gamma, t);
             let coord = report_coord(opts, *dataset, Domain::Unit, *gamma, t);
+            let sp = coord.population();
             let reports = sw_batch(&coord, *eps, AttackSpec::SwTop);
             // The SW attack poisons above the input max, so the canonical
             // right-side 50% trim applies unchanged.
@@ -421,7 +409,7 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
         }
 
         CellKind::BaselineSplit { dataset, gamma, eps, alpha, probing } => {
-            let sp = population(opts, *dataset, Domain::Signed, *gamma, t);
+            let sp = report_coord(opts, *dataset, Domain::Signed, *gamma, t).population();
             let pop = to_population(&sp);
             let cfg = BaselineConfig {
                 alpha: *alpha,

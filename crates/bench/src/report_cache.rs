@@ -1,53 +1,42 @@
 //! Process-wide perturbed-report cache for the evaluation engine.
 //!
-//! Perturbation is the second-largest cost in the figure drivers after EM:
-//! every cell re-perturbs its (already cached) population even though the
-//! honest reports depend only on `(population, mechanism, ε)` — never on
-//! the attack, the defense, or the scheme under evaluation. This cache
-//! memoizes the two honest-report shapes the engine consumes:
+//! Perturbation is the second-largest cost in the figure drivers after EM,
+//! yet honest reports depend only on `(population, mechanism, ε)` — never
+//! on the attack, the defense, or the scheme under evaluation. This cache
+//! memoizes every report set the engine consumes:
 //!
 //! * **flat batches** — every honest user perturbs once at full ε (the
-//!   defense rows, probes, and single-batch estimators), and
+//!   defense rows, probes, and single-batch estimators);
 //! * **grouped protocol reports** — [`dap_core::PreparedReports`]: the
 //!   shuffled [`dap_core::GroupPlan`] plus each honest user's `k_t`
 //!   reports at `ε_t` (the DAP/SW-DAP cells, replayed through
-//!   [`dap_core::Dap::run_schemes_prepared_with`]).
+//!   [`dap_core::Dap::run_schemes_prepared_with`]);
+//! * **poison batches** — the coalition's flat draws and per-group
+//!   protocol batches ([`dap_core::Dap::poison_batches`]), keyed by the
+//!   honest coordinate plus [`AttackSpec::key_words`]. Cell reps are
+//!   bit-identical re-runs anyway, so fresh draws per rep would buy no
+//!   statistical independence.
 //!
-//! The determinism contract mirrors [`dap_datasets::PopulationCache`]: the
-//! generation RNG stream is derived from the key alone — `(dataset,
-//! domain, n, γ, seed, trial, mechanism, ε[, ε₀])` — never from a caller's
-//! stream or execution order, so
-//!
-//! * reports are **identical whether or not the cache is warm** (a warm
-//!   `experiments fig7` rerun is byte-identical to a cold one), and
-//! * sharded runs are bit-identical to single-process runs: each shard
-//!   regenerates exactly the report sets its cells need.
-//!
-//! The coalition's reports are perturbed reports too: they depend only on
-//! `(population key, attack spec, mechanism, ε[, ε₀])`, and cell reps are
-//! already bit-identical re-runs by the contract above, so "fresh per rep"
-//! buys no statistical independence — it only re-runs the (gamma/normal)
-//! samplers. The cache therefore also memoizes **poison batches** — flat
-//! coalition draws and per-group protocol batches
-//! ([`dap_core::Dap::poison_batches`]) — keyed by the honest coordinate
-//! plus [`AttackSpec::key_words`], with the generation stream derived from
-//! that extended key.
-//!
-//! Entries are evicted least-recently-used beyond [`DEFAULT_CAPACITY`]
-//! (override with `DAP_REPORT_CACHE_CAP`); hit/miss/eviction counters are
-//! exposed through [`ReportCache::stats`] and printed by `experiments all`
-//! next to the population-cache counters.
+//! The determinism contract mirrors [`dap_datasets::PopulationCache`]:
+//! every entry draws from an RNG stream derived from its key alone, so
+//! reports are **identical whether or not the cache is warm** and sharded
+//! runs are bit-identical to single-process runs. All entry kinds share
+//! one [`Memo`]: single-flight, LRU beyond [`DEFAULT_CAPACITY`] entries
+//! (override with `DAP_REPORT_CACHE_CAP`), with hit/miss/eviction counters
+//! that `experiments all` prints next to the population cache's.
 
 use crate::cell::AttackSpec;
 use crate::common::perturb_all;
 use dap_core::{Dap, DapConfig, PreparedReports, Scheme};
-use dap_datasets::cache::Domain;
+use dap_datasets::cache::{Domain, SampledPopulation};
 use dap_datasets::{Dataset, PopulationCache};
-use dap_estimation::rng::derive;
+use dap_estimation::rng::{derive, Fnv};
+use dap_estimation::Memo;
 use dap_ldp::{Duchi, Epsilon, PiecewiseMechanism, SquareWave};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use rand::rngs::StdRng;
+use std::any::Any;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Default entry cap. At the default scale (N = 20 000) a flat entry is
 /// ~160 kB and a grouped entry ~320 kB; a full `experiments all` sweep
@@ -87,8 +76,18 @@ pub struct ReportCoord {
     pub trial: u64,
 }
 
+impl ReportCoord {
+    /// The (cached) population at this coordinate.
+    pub fn population(&self) -> Arc<SampledPopulation> {
+        let (dataset, domain, gamma) = (self.dataset, self.domain, self.gamma);
+        PopulationCache::global().population(dataset, domain, self.n, gamma, self.seed, self.trial)
+    }
+}
+
+/// The opaque key of a cached report set: its population coordinate,
+/// mechanism and budget, plus the grouped/poison discriminants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
+pub struct ReportKey {
     dataset: Dataset,
     domain: Domain,
     n: usize,
@@ -105,86 +104,50 @@ struct Key {
     attack: Option<[u64; 3]>,
 }
 
-#[derive(Debug, Clone)]
-enum Entry {
-    Flat(Arc<Vec<f64>>),
-    Grouped(Arc<PreparedReports>),
-    /// The coalition's flat draws for one `(coordinate, attack)` pair.
-    PoisonFlat(Arc<Vec<f64>>),
-    /// The coalition's per-group protocol batches, in group order.
-    PoisonGrouped(Arc<Vec<Vec<f64>>>),
-}
+/// A cached report set: a flat batch (`Vec<f64>`), [`PreparedReports`] or
+/// per-group poison batches (`Vec<Vec<f64>>`); the key's kind fixes which.
+pub type Entry = Arc<dyn Any + Send + Sync>;
 
-/// Cumulative counters since process start (or the last
-/// [`ReportCache::reset_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReportCacheStats {
-    /// Requests served from memory.
-    pub hits: u64,
-    /// Requests that had to perturb.
-    pub misses: u64,
-    /// Entries dropped to stay under the capacity.
-    pub evictions: u64,
-}
+/// A bounded, thread-safe memo of perturbed report sets. See the module
+/// docs for the determinism contract.
+pub struct ReportCache(Memo<ReportKey, Entry>);
 
-/// A bounded, thread-safe memo of perturbed honest-report sets. See the
-/// module docs for the determinism contract.
-pub struct ReportCache {
-    map: Mutex<HashMap<Key, (Entry, u64)>>,
-    clock: AtomicU64,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+impl Deref for ReportCache {
+    type Target = Memo<ReportKey, Entry>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl ReportCache {
     /// An empty cache holding at most `capacity` report sets.
     pub fn new(capacity: usize) -> Self {
-        ReportCache {
-            map: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        ReportCache(Memo::new(capacity))
     }
 
     /// The process-wide cache (capacity from `DAP_REPORT_CACHE_CAP`,
     /// default [`DEFAULT_CAPACITY`]).
     pub fn global() -> &'static ReportCache {
         static GLOBAL: OnceLock<ReportCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cap = std::env::var("DAP_REPORT_CACHE_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CAPACITY);
-            ReportCache::new(cap)
-        })
+        GLOBAL.get_or_init(|| ReportCache(Memo::from_env("DAP_REPORT_CACHE_CAP", DEFAULT_CAPACITY)))
+    }
+
+    /// The entry at `key`, loaded on a miss from the key's own RNG stream.
+    fn entry<T: Any + Send + Sync>(
+        &self,
+        key: ReportKey,
+        load: impl FnOnce(&mut StdRng) -> T,
+    ) -> Arc<T> {
+        let load = || Arc::new(load(&mut derive(key.seed, generation_stream(&key)))) as Entry;
+        let entry = self.0.get_or_load(key, load);
+        entry.downcast().expect("a key's kind fixes its entry type")
     }
 
     /// The honest users' single-batch reports at full ε under `mech`,
     /// perturbed on first use. Callers append the coalition's reports from
     /// their own trial stream.
-    pub fn flat_batch(
-        &self,
-        coord: &ReportCoord,
-        mech: ReportMech,
-        eps: f64,
-    ) -> Arc<Vec<f64>> {
-        let key = key_of(coord, mech, eps, None);
-        if let Some(Entry::Flat(found)) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-        // Perturb outside the lock; a concurrent miss on the same key
-        // produces byte-identical reports, so whichever insert wins is
-        // immaterial.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(generate_flat(coord, mech, eps));
-        self.insert(key, Entry::Flat(Arc::clone(&fresh)));
-        fresh
+    pub fn flat_batch(&self, coord: &ReportCoord, mech: ReportMech, eps: f64) -> Arc<Vec<f64>> {
+        self.entry(key_of(coord, mech, eps, None, None), |rng| generate_flat(coord, mech, eps, rng))
     }
 
     /// The protocol's stages 1–2 for a population — shuffled plan plus
@@ -198,15 +161,8 @@ impl ReportCache {
         eps: f64,
         eps0: f64,
     ) -> Arc<PreparedReports> {
-        let key = key_of(coord, mech, eps, Some(eps0.to_bits()));
-        if let Some(Entry::Grouped(found)) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(generate_grouped(coord, mech, eps, eps0));
-        self.insert(key, Entry::Grouped(Arc::clone(&fresh)));
-        fresh
+        let key = key_of(coord, mech, eps, Some(eps0.to_bits()), None);
+        self.entry(key, |rng| generate_grouped(coord, mech, eps, eps0, rng))
     }
 
     /// The coalition's single-batch reports at full ε under `mech` for
@@ -221,15 +177,8 @@ impl ReportCache {
         eps: f64,
         spec: AttackSpec,
     ) -> Arc<Vec<f64>> {
-        let key = poison_key_of(coord, mech, eps, None, spec);
-        if let Some(Entry::PoisonFlat(found)) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(generate_poison_flat(coord, mech, eps, spec, &key));
-        self.insert(key, Entry::PoisonFlat(Arc::clone(&fresh)));
-        fresh
+        let key = key_of(coord, mech, eps, None, Some(spec));
+        self.entry(key, |rng| generate_poison_flat(coord, mech, eps, spec, rng))
     }
 
     /// The coalition's per-group protocol batches for `spec` against this
@@ -244,77 +193,22 @@ impl ReportCache {
         eps0: f64,
         spec: AttackSpec,
     ) -> Arc<Vec<Vec<f64>>> {
-        let key = poison_key_of(coord, mech, eps, Some(eps0.to_bits()), spec);
-        if let Some(Entry::PoisonGrouped(found)) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = self.prepared(coord, mech, eps, eps0);
-        let fresh = Arc::new(generate_poison_grouped(coord, mech, eps, eps0, spec, &prepared, &key));
-        self.insert(key, Entry::PoisonGrouped(Arc::clone(&fresh)));
-        fresh
-    }
-
-    fn lookup(&self, key: &Key) -> Option<Entry> {
-        let mut map = self.map.lock().expect("report cache poisoned");
-        map.get_mut(key).map(|(entry, stamp)| {
-            *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-            entry.clone()
+        let key = key_of(coord, mech, eps, Some(eps0.to_bits()), Some(spec));
+        self.entry(key, |rng| {
+            let prepared = self.prepared(coord, mech, eps, eps0);
+            generate_poison_grouped(mech, eps, eps0, spec, &prepared, rng)
         })
-    }
-
-    fn insert(&self, key: Key, fresh: Entry) {
-        let mut map = self.map.lock().expect("report cache poisoned");
-        if map.contains_key(&key) {
-            return;
-        }
-        if map.len() >= self.capacity {
-            if let Some(oldest) =
-                map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| *k)
-            {
-                map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        map.insert(key, (fresh, self.clock.fetch_add(1, Ordering::Relaxed)));
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> ReportCacheStats {
-        ReportCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes the counters (entries stay).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every entry (counters stay) — used by perf harnesses that
-    /// must time cold runs.
-    pub fn clear(&self) {
-        self.map.lock().expect("report cache poisoned").clear();
-    }
-
-    /// Number of resident report sets.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("report cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
-fn key_of(coord: &ReportCoord, mech: ReportMech, eps: f64, grouped: Option<u64>) -> Key {
-    Key {
+fn key_of(
+    coord: &ReportCoord,
+    mech: ReportMech,
+    eps: f64,
+    grouped: Option<u64>,
+    attack: Option<AttackSpec>,
+) -> ReportKey {
+    ReportKey {
         dataset: coord.dataset,
         domain: coord.domain,
         n: coord.n,
@@ -324,25 +218,16 @@ fn key_of(coord: &ReportCoord, mech: ReportMech, eps: f64, grouped: Option<u64>)
         mech,
         eps_bits: eps.to_bits(),
         grouped,
-        attack: None,
+        attack: attack.map(AttackSpec::key_words),
     }
-}
-
-fn poison_key_of(
-    coord: &ReportCoord,
-    mech: ReportMech,
-    eps: f64,
-    grouped: Option<u64>,
-    spec: AttackSpec,
-) -> Key {
-    Key { attack: Some(spec.key_words()), ..key_of(coord, mech, eps, grouped) }
 }
 
 /// The generation stream for a key — FNV-1a over the coordinate with a tag
 /// word distinct from both the cell streams and the population cache's, so
 /// the three stream families never collide by construction.
-fn generation_stream(key: &Key) -> u64 {
-    let words = [
+fn generation_stream(key: &ReportKey) -> u64 {
+    let mut h = Fnv::new();
+    for w in [
         0x7265_7065_7274_7262, // "report" tag
         key.dataset as u64,
         key.domain as u64,
@@ -352,47 +237,50 @@ fn generation_stream(key: &Key) -> u64 {
         key.mech as u64,
         key.eps_bits,
         key.grouped.map_or(u64::MAX, |b| b.rotate_left(1)),
-    ];
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            acc = (acc ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+    ] {
+        h.word(w);
     }
     // Poison entries fold the attack words in on top; honest entries hash
     // exactly as they did before poison caching existed, keeping their
     // streams (and therefore every cached honest byte) stable.
-    if let Some(attack) = key.attack {
-        for w in attack {
-            for b in w.to_le_bytes() {
-                acc = (acc ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+    let Some(attack) = key.attack else { return h.finish() };
+    for w in attack {
+        h.word(w);
+    }
+    h.finish().rotate_left(17) ^ 0x6174_7461_636b_7073 // "attack" tag
+}
+
+/// Expands `$body` once per [`ReportMech`], with `$new` bound to that
+/// mechanism's constructor.
+macro_rules! with_mech {
+    ($mech:expr, |$new:ident| $body:expr) => {
+        match $mech {
+            ReportMech::Pm => {
+                let $new = PiecewiseMechanism::new;
+                $body
+            }
+            ReportMech::Duchi => {
+                let $new = Duchi::new;
+                $body
+            }
+            ReportMech::Sw => {
+                let $new = SquareWave::new;
+                $body
             }
         }
-        acc = acc.rotate_left(17) ^ 0x6174_7461_636b_7073; // "attack" tag
-    }
-    acc
+    };
 }
 
-fn population_of(coord: &ReportCoord) -> Arc<dap_datasets::cache::SampledPopulation> {
-    PopulationCache::global().population(
-        coord.dataset,
-        coord.domain,
-        coord.n,
-        coord.gamma,
-        coord.seed,
-        coord.trial,
-    )
+/// The minimal config that shapes prepared reports and poison batches: only
+/// ε/ε₀ and the mechanism matter; the scheme and estimation knobs are
+/// finalize-time concerns.
+fn replay_config(eps: f64, eps0: f64) -> DapConfig {
+    DapConfig { eps0, ..DapConfig::paper_default(eps, Scheme::Emf) }
 }
 
-fn generate_flat(coord: &ReportCoord, mech: ReportMech, eps: f64) -> Vec<f64> {
-    let sp = population_of(coord);
-    let key = key_of(coord, mech, eps, None);
-    let mut rng = derive(coord.seed, generation_stream(&key));
-    match mech {
-        ReportMech::Pm => perturb_all(&PiecewiseMechanism::new(Epsilon::of(eps)), &sp.honest, &mut rng),
-        ReportMech::Duchi => perturb_all(&Duchi::new(Epsilon::of(eps)), &sp.honest, &mut rng),
-        ReportMech::Sw => perturb_all(&SquareWave::new(Epsilon::of(eps)), &sp.honest, &mut rng),
-    }
+fn generate_flat(coord: &ReportCoord, mech: ReportMech, eps: f64, rng: &mut StdRng) -> Vec<f64> {
+    let sp = coord.population();
+    with_mech!(mech, |new| perturb_all(&new(Epsilon::of(eps)), &sp.honest, rng))
 }
 
 fn generate_grouped(
@@ -400,27 +288,13 @@ fn generate_grouped(
     mech: ReportMech,
     eps: f64,
     eps0: f64,
+    rng: &mut StdRng,
 ) -> PreparedReports {
-    let sp = population_of(coord);
-    let key = key_of(coord, mech, eps, Some(eps0.to_bits()));
-    let mut rng = derive(coord.seed, generation_stream(&key));
-    // Only ε/ε₀ and the mechanism shape the prepared reports; the scheme
-    // and estimation knobs are finalize-time concerns.
-    let cfg = DapConfig { eps0, ..DapConfig::paper_default(eps, Scheme::Emf) };
-    match mech {
-        ReportMech::Pm => Dap::new(cfg, PiecewiseMechanism::new)
-            .expect("valid config")
-            .prepare_reports(&sp.honest, sp.byzantine, &mut rng)
-            .expect("non-empty population"),
-        ReportMech::Duchi => Dap::new(cfg, Duchi::new)
-            .expect("valid config")
-            .prepare_reports(&sp.honest, sp.byzantine, &mut rng)
-            .expect("non-empty population"),
-        ReportMech::Sw => Dap::new(cfg, SquareWave::new)
-            .expect("valid config")
-            .prepare_reports(&sp.honest, sp.byzantine, &mut rng)
-            .expect("non-empty population"),
-    }
+    let sp = coord.population();
+    with_mech!(mech, |new| Dap::new(replay_config(eps, eps0), new)
+        .expect("valid config")
+        .prepare_reports(&sp.honest, sp.byzantine, rng)
+        .expect("non-empty population"))
 }
 
 fn generate_poison_flat(
@@ -428,54 +302,34 @@ fn generate_poison_flat(
     mech: ReportMech,
     eps: f64,
     spec: AttackSpec,
-    key: &Key,
+    rng: &mut StdRng,
 ) -> Vec<f64> {
-    let sp = population_of(coord);
-    let mut rng = derive(coord.seed, generation_stream(key));
+    let sp = coord.population();
     let attack = spec.build();
-    match mech {
-        ReportMech::Pm => {
-            attack.reports(sp.byzantine, &PiecewiseMechanism::new(Epsilon::of(eps)), &mut rng)
-        }
-        ReportMech::Duchi => attack.reports(sp.byzantine, &Duchi::new(Epsilon::of(eps)), &mut rng),
-        ReportMech::Sw => attack.reports(sp.byzantine, &SquareWave::new(Epsilon::of(eps)), &mut rng),
-    }
+    with_mech!(mech, |new| attack.reports(sp.byzantine, &new(Epsilon::of(eps)), rng))
 }
 
+/// Poison batches depend on the plan (frozen in `prepared`), the per-group
+/// mechanisms and the attack.
 fn generate_poison_grouped(
-    coord: &ReportCoord,
     mech: ReportMech,
     eps: f64,
     eps0: f64,
     spec: AttackSpec,
     prepared: &PreparedReports,
-    key: &Key,
+    rng: &mut StdRng,
 ) -> Vec<Vec<f64>> {
-    let mut rng = derive(coord.seed, generation_stream(key));
     let attack = spec.build();
-    // Poison batches depend on the plan (frozen in `prepared`), the
-    // per-group mechanisms, and the attack — the same minimal config that
-    // shaped the prepared entry reproduces them.
-    let cfg = DapConfig { eps0, ..DapConfig::paper_default(eps, Scheme::Emf) };
-    match mech {
-        ReportMech::Pm => Dap::new(cfg, PiecewiseMechanism::new)
-            .expect("valid config")
-            .poison_batches(prepared, attack.as_ref(), &mut rng)
-            .expect("prepared matches config"),
-        ReportMech::Duchi => Dap::new(cfg, Duchi::new)
-            .expect("valid config")
-            .poison_batches(prepared, attack.as_ref(), &mut rng)
-            .expect("prepared matches config"),
-        ReportMech::Sw => Dap::new(cfg, SquareWave::new)
-            .expect("valid config")
-            .poison_batches(prepared, attack.as_ref(), &mut rng)
-            .expect("prepared matches config"),
-    }
+    with_mech!(mech, |new| Dap::new(replay_config(eps, eps0), new)
+        .expect("valid config")
+        .poison_batches(prepared, attack.as_ref(), rng)
+        .expect("prepared matches config"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dap_estimation::MemoStats;
 
     fn coord(trial: u64) -> ReportCoord {
         ReportCoord {
@@ -494,7 +348,7 @@ mod tests {
         let a = cache.flat_batch(&coord(0), ReportMech::Pm, 0.5);
         let b = cache.flat_batch(&coord(0), ReportMech::Pm, 0.5);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), ReportCacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(cache.stats(), MemoStats { hits: 1, misses: 1, evictions: 0 });
         assert_eq!(a.len(), 300, "one report per honest user");
     }
 
@@ -563,6 +417,6 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);
         cache.reset_stats();
-        assert_eq!(cache.stats(), ReportCacheStats::default());
+        assert_eq!(cache.stats(), MemoStats::default());
     }
 }

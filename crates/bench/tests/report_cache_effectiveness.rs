@@ -4,13 +4,17 @@
 //! cache is load-bearing, not decorative), and a sharded subset executed
 //! against a warm cache still reproduces the full run's bits. Together
 //! these pin the cache's determinism contract: entry values are pure
-//! functions of the key, so warmth can change speed but never bytes.
+//! functions of the key, so warmth can change speed but never bytes. With
+//! single-flight loading the counters are pinned too: a cold run that
+//! evicts nothing counts the same hits and misses on 1 thread as on 4.
 
 use dap_bench::cell::ExperimentId;
 use dap_bench::common::ExpOptions;
 use dap_bench::engine::{cache_stats, run_cells, run_cells_subset, CellResult, ResultMap};
 use dap_bench::report_cache::ReportCache;
+use dap_core::parallel::set_thread_override;
 use dap_datasets::PopulationCache;
+use dap_estimation::MemoStats;
 use std::sync::Mutex;
 
 /// The process-wide caches are shared by every test thread; serialize the
@@ -106,4 +110,33 @@ fn warm_shard_subset_matches_the_full_runs_bits() {
         shard_bits,
         "cold shard diverged from the warm shard"
     );
+}
+
+#[test]
+fn cold_run_counters_do_not_depend_on_the_thread_count() {
+    let _guard = CACHES.lock().unwrap();
+    // Default-scale populations keep each load long enough for 4 threads
+    // to collide on keys; without single-flight a collision loads a key
+    // twice and shifts the counters.
+    let opts = ExpOptions { n: 20_000, trials: 2, seed: 7, max_d_out: 64 };
+    let cells = ExperimentId::Fig7.cells(&opts);
+    let delta = |a: MemoStats, b: MemoStats| (b.hits - a.hits, b.misses - a.misses, b.evictions - a.evictions);
+    let cold_run = |threads: usize| {
+        PopulationCache::global().clear();
+        ReportCache::global().clear();
+        set_thread_override(Some(threads));
+        let (pop_before, rep_before) = cache_stats();
+        let results = run_cells(&opts, &cells);
+        let (pop_after, rep_after) = cache_stats();
+        set_thread_override(None);
+        (value_bits(&results), delta(pop_before, pop_after), delta(rep_before, rep_after))
+    };
+    let (bits_1, pop_1, rep_1) = cold_run(1);
+    assert_eq!((pop_1.2, rep_1.2), (0, 0), "the precondition: a cold fig7 run evicts nothing");
+    for _ in 0..3 {
+        let (bits_4, pop_4, rep_4) = cold_run(4);
+        assert_eq!(bits_1, bits_4, "values diverged between 1 and 4 threads");
+        assert_eq!(pop_1, pop_4, "population-cache (hits, misses, evictions) depend on threads");
+        assert_eq!(rep_1, rep_4, "report-cache (hits, misses, evictions) depend on threads");
+    }
 }

@@ -85,46 +85,7 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// FNV-1a over little-endian words and length-prefixed byte strings — the
-/// stable digest behind session-compatibility checks ([`crate::DapSession::
-/// state_digest`]) and `dap_bench`'s cell stream ids. No `std::hash`
-/// involvement, so digests are stable across Rust versions and can be
-/// pinned in golden files and exchanged between processes.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feeds one word (as its 8 little-endian bytes).
-    pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// Feeds raw bytes, length-prefixed so `"ab" + "c"` ≠ `"a" + "bc"`.
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
+pub use dap_estimation::rng::Fnv;
 
 #[cfg(test)]
 mod tests {

@@ -46,7 +46,10 @@
 //! answers every frame on a connection with [`WireError::Unauthorized`]
 //! until a `hello` carrying a recognized token succeeds — authentication
 //! is connection-scoped and precedes all session dispatch, so an
-//! unauthenticated peer cannot even probe `status`.
+//! unauthenticated peer cannot even probe `status`. Until then a frame
+//! longer than the longest hello is refused with a [`WireError::BadFrame`]
+//! farewell before its body is read, so an unauthenticated connection
+//! never makes the daemon allocate more than a hello's worth of bytes.
 
 use crate::codec::{self, f64_to_hex, hex_u64};
 use crate::error::DapError;
@@ -71,6 +74,12 @@ pub const WIRE_VERSION: &str = "dap-wire/v1";
 /// protocol limit (the largest legitimate frame, a 1M-report batch, is
 /// ~20 MB of hex tokens).
 const MAX_FRAME: usize = 64 << 20;
+
+/// Upper bound on one frame body before the connection has authenticated
+/// (daemons with [`ServeOptions::auth_tokens`]): room for the longest hello
+/// the encoder produces (113 bytes with every optional section), so an
+/// unauthenticated peer cannot make the server allocate more than this.
+const PRE_AUTH_FRAME: usize = 128;
 
 /// A typed error crossing the wire (or raised by the transport itself).
 #[derive(Debug, Clone, PartialEq)]
@@ -1175,19 +1184,20 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
 /// [`WireError::Io`]; anything the peer sent that fails to parse is
 /// [`WireError::BadFrame`].
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    read_frame_sized(r).map(|(frame, _)| frame)
+    read_frame_sized(r, MAX_FRAME).map(|(frame, _)| frame)
 }
 
-/// [`read_frame`] also reporting the frame's body length in bytes — the
-/// cost unit the reactor's [`ReactorOptions::queue_bytes`] bound accounts
-/// in, so backpressure tracks actual memory held, not frame counts.
-pub fn read_frame_sized(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
+/// [`read_frame`] refusing a body longer than `cap` bytes before allocating
+/// it, and also reporting the body length — the cost unit the reactor's
+/// [`ReactorOptions::queue_bytes`] bound accounts in, so backpressure
+/// tracks actual memory held, not frame counts.
+fn read_frame_sized(r: &mut impl Read, cap: usize) -> Result<(Frame, usize), WireError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
+    if len > cap {
         return Err(WireError::BadFrame {
-            reason: format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+            reason: format!("frame of {len} bytes exceeds the {cap}-byte cap"),
         });
     }
     let mut body = vec![0u8; len];
@@ -2137,7 +2147,8 @@ where
     // succeeds on *this* connection.
     let mut authed = state.auth_tokens.is_empty();
     loop {
-        let (frame, cost) = match read_frame_sized(&mut reader) {
+        let cap = if authed { MAX_FRAME } else { PRE_AUTH_FRAME };
+        let (frame, cost) = match read_frame_sized(&mut reader, cap) {
             Ok(pair) => pair,
             // EOF / disconnect: the client is done with this connection.
             Err(WireError::Io { .. }) => return,
@@ -2822,6 +2833,29 @@ mod tests {
                 "{body}"
             );
         }
+    }
+
+    #[test]
+    fn the_longest_hello_fits_the_pre_auth_cap() {
+        let longest = Frame::Hello {
+            version: WIRE_VERSION.to_string(),
+            digest: u64::MAX,
+            channel: Some(u64::MAX),
+            auth: Some(u64::MAX),
+            commit: Some(u64::MAX),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &longest).expect("encode");
+        let (frame, len) = read_frame_sized(&mut &wire[..], PRE_AUTH_FRAME).expect("fits");
+        assert_eq!(frame, longest);
+        assert!(len <= PRE_AUTH_FRAME, "{len} > {PRE_AUTH_FRAME}");
+        // One byte over the cap is refused from the prefix alone: the body
+        // is never read (here it is not even there).
+        let prefix = (PRE_AUTH_FRAME as u32 + 1).to_be_bytes();
+        assert!(matches!(
+            read_frame_sized(&mut &prefix[..], PRE_AUTH_FRAME),
+            Err(WireError::BadFrame { .. })
+        ));
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! equivalence suite lives in `crates/bench/tests/serve.rs`.
 
 use dap_core::net::{
-    serve_session, serve_session_with, Deadlines, Frame, ServeOptions, WireClient, WireError,
-    WIRE_VERSION,
+    read_frame, serve_session, serve_session_with, Deadlines, Frame, ServeOptions, WireClient,
+    WireError, WIRE_VERSION,
 };
 use dap_core::storage::{DurableOptions, DurableSession, FileBackend};
 use dap_core::{DapConfig, DapError, DapSession, GroupPlan, Scheme};
 use dap_estimation::rng::seeded;
 use dap_ldp::PiecewiseMechanism;
-use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::thread::JoinHandle;
@@ -464,4 +464,66 @@ fn concurrent_clients_share_one_daemon() {
     assert_eq!(c.pull_part().expect("pull"), local.export_part());
     c.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
+}
+
+/// Sends one raw frame — `prefix` as the length, then `body` — on a fresh
+/// connection, before any hello, and reads the daemon's reply.
+fn send_raw_before_hello(addr: &str, prefix: u32, body: &[u8]) -> Result<Frame, WireError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.write_all(&prefix.to_be_bytes())?;
+    stream.write_all(body)?;
+    read_frame(&mut stream)
+}
+
+#[test]
+fn malformed_frames_before_auth_get_a_typed_farewell_and_change_nothing() {
+    // Runs one authenticated ingest + finalize, optionally after two
+    // hostile frames sent before any hello: the 28-byte body that once
+    // asked for an 8 TB allocation, and a length prefix far past a
+    // hello's size with no body behind it (refused from the prefix alone,
+    // so the daemon never waits for or allocates the body).
+    const TOKEN: u64 = 0x00ff;
+    let run = |hostile: bool| {
+        let local = session(0.25, 300, 11);
+        let digest = local.state_digest();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let options = ServeOptions { auth_tokens: vec![TOKEN], ..ServeOptions::default() };
+        let handle = std::thread::spawn(move || {
+            serve_session_with(listener, local, |_| None, options).expect("serve")
+        });
+        let mut c = connect(&addr);
+        if hostile {
+            let body = b"ingest-batch 0 1000000000000";
+            assert_eq!(body.len(), 28);
+            for (prefix, body) in [(body.len() as u32, &body[..]), (1 << 20, &[][..])] {
+                let reply = send_raw_before_hello(&addr, prefix, body);
+                assert!(
+                    matches!(reply, Ok(Frame::Error(WireError::BadFrame { .. }))),
+                    "expected a bad-frame farewell, got {reply:?}"
+                );
+            }
+        }
+        c.set_auth(Some(TOKEN));
+        c.hello(digest).expect("authenticated handshake");
+        let (got_digest, _, ingested) = c.status().expect("status answers");
+        assert_eq!((got_digest, ingested), (digest, 0), "hostile frames reached the session");
+        let mut rng = seeded(12);
+        let twin = session(0.25, 300, 11);
+        for g in 0..twin.group_count() {
+            let assign = twin.client_assignment(g).expect("known group");
+            let mech = PiecewiseMechanism::new(assign.eps_t);
+            let mut batch = vec![0.0; assign.k_t * 40];
+            for chunk in batch.chunks_exact_mut(assign.k_t) {
+                assign.perturb_into(&mech, 0.3, chunk, &mut rng);
+            }
+            c.ingest_batch(g, &batch).expect("remote ingest");
+        }
+        let outputs = c.finalize(&Scheme::ALL).expect("finalize");
+        c.shutdown().expect("shutdown");
+        handle.join().expect("daemon thread");
+        format!("{outputs:?}")
+    };
+    assert_eq!(run(true), run(false), "finalize diverged after hostile pre-auth frames");
 }

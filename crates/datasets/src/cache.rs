@@ -4,29 +4,23 @@
 //! experiment cells, and the *same* `(dataset, γ)` population is consumed
 //! by dozens of cells across experiments (every Fig. 6 panel column, every
 //! Fig. 7 column at that γ, Table I, the ablations…). The cache memoizes
-//! sampled populations under a key that is a pure function of the sampling
-//! coordinate — `(dataset, domain, n, γ, seed, trial)` — so:
+//! sampled populations under their sampling coordinate `(dataset, domain,
+//! n, γ, seed, trial)`. Generation draws from an RNG stream derived from
+//! that key alone, never from a caller's stream or from execution order,
+//! so the bytes are **identical whether or not the cache is warm** — which
+//! is what makes sharded runs bit-identical to single-process runs.
 //!
-//! * a population is generated **once per process** no matter how many
-//!   cells consume it, and
-//! * the generated bytes are **identical whether or not the cache is
-//!   warm**, because generation draws from an RNG stream derived from the
-//!   key alone, never from a caller's stream or from execution order. This
-//!   is what makes sharded experiment runs bit-identical to single-process
-//!   runs: each shard regenerates exactly the populations its cells need.
-//!
-//! Entries are evicted least-recently-used beyond a capacity of
-//! [`DEFAULT_CAPACITY`] entries (override with the `DAP_POP_CACHE_CAP`
-//! environment variable); hit/miss/eviction counters are exposed through
-//! [`PopulationCache::stats`] so cache effectiveness is observable without
-//! a profiler (`experiments all` prints them).
+//! The store is a [`Memo`]: single-flight (one sampling per key, however
+//! many threads ask), LRU beyond [`DEFAULT_CAPACITY`] entries (override
+//! with `DAP_POP_CACHE_CAP`), with hit/miss/eviction counters that
+//! `experiments all` prints.
 
 use crate::Dataset;
-use dap_estimation::rng::derive;
+use dap_estimation::rng::{derive, Fnv};
 use dap_estimation::stats::mean;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use dap_estimation::Memo;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Default entry cap: at paper scale each entry is ~8 MB of honest values,
 /// bounding the cache at ~½ GB; a full `experiments all` sweep needs ~40
@@ -54,8 +48,9 @@ pub struct SampledPopulation {
     pub byzantine: usize,
 }
 
+/// The opaque key of a cached population: its sampling coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
+pub struct PopulationKey {
     dataset: Dataset,
     domain: Domain,
     n: usize,
@@ -64,54 +59,28 @@ struct Key {
     trial: u64,
 }
 
-/// Cumulative counters since process start (or the last
-/// [`PopulationCache::reset_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served from memory.
-    pub hits: u64,
-    /// Requests that had to sample a population.
-    pub misses: u64,
-    /// Entries dropped to stay under the capacity.
-    pub evictions: u64,
-}
-
 /// A bounded, thread-safe memo of sampled populations. See the module docs
 /// for the determinism contract.
-pub struct PopulationCache {
-    /// Value + last-use stamp for LRU eviction.
-    map: Mutex<HashMap<Key, (Arc<SampledPopulation>, u64)>>,
-    clock: AtomicU64,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+pub struct PopulationCache(Memo<PopulationKey, Arc<SampledPopulation>>);
+
+impl Deref for PopulationCache {
+    type Target = Memo<PopulationKey, Arc<SampledPopulation>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl PopulationCache {
     /// An empty cache holding at most `capacity` populations.
     pub fn new(capacity: usize) -> Self {
-        PopulationCache {
-            map: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        PopulationCache(Memo::new(capacity))
     }
 
     /// The process-wide cache (capacity from `DAP_POP_CACHE_CAP`, default
     /// [`DEFAULT_CAPACITY`]).
     pub fn global() -> &'static PopulationCache {
         static GLOBAL: OnceLock<PopulationCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cap = std::env::var("DAP_POP_CACHE_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CAPACITY);
-            PopulationCache::new(cap)
-        })
+        GLOBAL.get_or_init(|| PopulationCache(Memo::from_env("DAP_POP_CACHE_CAP", DEFAULT_CAPACITY)))
     }
 
     /// The population at a sampling coordinate, generated on first use.
@@ -128,109 +97,29 @@ impl PopulationCache {
         seed: u64,
         trial: u64,
     ) -> Arc<SampledPopulation> {
-        let key = Key { dataset, domain, n, gamma_bits: gamma.to_bits(), seed, trial };
-        if let Some(found) = self.lookup(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
-        }
-
-        // Sample outside the lock; a concurrent miss on the same key
-        // produces byte-identical values, so whichever insert wins is
-        // immaterial.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(sample(dataset, domain, n, gamma, seed, trial));
-        let mut map = self.map.lock().expect("population cache poisoned");
-        if let Some((existing, stamp)) = map.get_mut(&key) {
-            *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(existing);
-        }
-        if map.len() >= self.capacity {
-            if let Some(oldest) =
-                map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| *k)
-            {
-                map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        map.insert(key, (Arc::clone(&fresh), self.clock.fetch_add(1, Ordering::Relaxed)));
-        fresh
-    }
-
-    fn lookup(&self, key: &Key) -> Option<Arc<SampledPopulation>> {
-        let mut map = self.map.lock().expect("population cache poisoned");
-        map.get_mut(key).map(|(pop, stamp)| {
-            *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(pop)
-        })
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes the counters (entries stay).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every entry (counters stay) — used by perf harnesses that must
-    /// time cold runs.
-    pub fn clear(&self) {
-        self.map.lock().expect("population cache poisoned").clear();
-    }
-
-    /// Number of resident populations.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("population cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let key = PopulationKey { dataset, domain, n, gamma_bits: gamma.to_bits(), seed, trial };
+        self.0.get_or_load(key, || Arc::new(sample(&key)))
     }
 }
 
 /// The generation stream for a key — FNV-1a over the coordinate, so it
 /// never collides with the experiment engine's cell streams by
 /// construction (distinct tag word).
-fn generation_stream(dataset: Dataset, domain: Domain, n: usize, gamma: f64, trial: u64) -> u64 {
-    let words = [
-        0x706f_7075_6c61_7465, // "populate" tag
-        dataset as u64,
-        domain as u64,
-        n as u64,
-        gamma.to_bits(),
-        trial,
-    ];
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            acc = (acc ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+fn generation_stream(k: &PopulationKey) -> u64 {
+    let mut h = Fnv::new();
+    let tag = 0x706f_7075_6c61_7465; // "populate"
+    for w in [tag, k.dataset as u64, k.domain as u64, k.n as u64, k.gamma_bits, k.trial] {
+        h.word(w);
     }
-    acc
+    h.finish()
 }
 
-fn sample(
-    dataset: Dataset,
-    domain: Domain,
-    n: usize,
-    gamma: f64,
-    seed: u64,
-    trial: u64,
-) -> SampledPopulation {
-    let byzantine = (n as f64 * gamma).round() as usize;
-    let mut rng = derive(seed, generation_stream(dataset, domain, n, gamma, trial));
-    let honest = match domain {
-        Domain::Signed => dataset.generate_signed(n - byzantine, &mut rng),
-        Domain::Unit => dataset.generate_unit(n - byzantine, &mut rng),
+fn sample(key: &PopulationKey) -> SampledPopulation {
+    let byzantine = (key.n as f64 * f64::from_bits(key.gamma_bits)).round() as usize;
+    let mut rng = derive(key.seed, generation_stream(key));
+    let honest = match key.domain {
+        Domain::Signed => key.dataset.generate_signed(key.n - byzantine, &mut rng),
+        Domain::Unit => key.dataset.generate_unit(key.n - byzantine, &mut rng),
     };
     let truth = mean(&honest);
     SampledPopulation { honest, truth, byzantine }
@@ -239,6 +128,7 @@ fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dap_estimation::MemoStats;
 
     #[test]
     fn hit_returns_the_same_population() {
@@ -246,7 +136,7 @@ mod tests {
         let a = cache.population(Dataset::Taxi, Domain::Signed, 500, 0.25, 7, 0);
         let b = cache.population(Dataset::Taxi, Domain::Signed, 500, 0.25, 7, 0);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(cache.stats(), MemoStats { hits: 1, misses: 1, evictions: 0 });
         assert_eq!(a.honest.len() + a.byzantine, 500);
         assert_eq!(a.byzantine, 125);
     }
@@ -277,25 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_capacity() {
-        let cache = PopulationCache::new(2);
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 0);
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 1);
-        // Touch trial 0 so trial 1 is the LRU victim.
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 0);
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // Trial 0 survived the eviction…
-        let before = cache.stats().misses;
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 0);
-        assert_eq!(cache.stats().misses, before);
-        // …and trial 1 did not.
-        cache.population(Dataset::Taxi, Domain::Signed, 100, 0.0, 1, 1);
-        assert_eq!(cache.stats().misses, before + 1);
-    }
-
-    #[test]
     fn clear_drops_entries_but_not_counters() {
         let cache = PopulationCache::new(4);
         cache.population(Dataset::Retirement, Domain::Signed, 50, 0.1, 2, 0);
@@ -303,6 +174,6 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);
         cache.reset_stats();
-        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.stats(), MemoStats::default());
     }
 }

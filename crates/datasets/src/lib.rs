@@ -19,6 +19,6 @@ pub mod cache;
 pub mod covid;
 pub mod numeric;
 
-pub use cache::{CacheStats, Domain, PopulationCache, SampledPopulation};
+pub use cache::{Domain, PopulationCache, SampledPopulation};
 pub use covid::{covid_frequencies, sample_covid, COVID_GROUPS};
 pub use numeric::Dataset;

@@ -7,17 +7,16 @@
 //! region)` — so the probe, the per-group estimation, and all bench figure
 //! drivers share this cache instead.
 //!
-//! Matrices are immutable once built and handed out as [`Arc`]s, so cache
-//! hits are a lock-protected map lookup plus a refcount bump; the lock is
-//! never held while a matrix is being built by the *calling* thread for an
-//! uncached mechanism. Mechanisms opt in via
+//! Matrices are immutable once built and handed out as [`Arc`]s from a
+//! [`Memo`] (single-flight, LRU, counters). Mechanisms opt in via
 //! [`NumericMechanism::matrix_cache_key`]; mechanisms without a stable key
 //! (the default) get a fresh, uncached build.
 
+use crate::memo::Memo;
 use crate::transform::{PoisonRegion, TransformMatrix};
 use dap_ldp::NumericMechanism;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Hashable canonical form of a [`PoisonRegion`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -39,8 +38,10 @@ impl From<&PoisonRegion> for PoisonKey {
     }
 }
 
+/// The opaque key of a cached matrix: mechanism family and parameters,
+/// bucket counts and poison region.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
+pub struct MatrixKey {
     family: &'static str,
     params: u64,
     d_in: usize,
@@ -48,21 +49,24 @@ struct Key {
     poison: PoisonKey,
 }
 
-/// Entry cap: past this the cache is cleared wholesale before inserting, so
-/// a long-running service sweeping many budgets cannot grow it unbounded.
-/// Real workloads hold a few dozen distinct keys.
+/// Entry cap, so a long-running service sweeping many budgets cannot grow
+/// the cache unbounded. Real workloads hold a few dozen distinct keys.
 const MAX_ENTRIES: usize = 1024;
 
 /// A keyed store of built transform matrices (see the module docs).
-#[derive(Debug, Default)]
-pub struct MatrixCache {
-    map: Mutex<HashMap<Key, Arc<TransformMatrix>>>,
+pub struct MatrixCache(Memo<MatrixKey, Arc<TransformMatrix>>);
+
+impl Deref for MatrixCache {
+    type Target = Memo<MatrixKey, Arc<TransformMatrix>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl MatrixCache {
     /// A fresh, empty cache.
     pub fn new() -> Self {
-        Self::default()
+        MatrixCache(Memo::new(MAX_ENTRIES))
     }
 
     /// The process-wide cache used by the protocol and bench layers.
@@ -80,38 +84,20 @@ impl MatrixCache {
         d_out: usize,
         poison: &PoisonRegion,
     ) -> Arc<TransformMatrix> {
-        let Some((family, params)) = mech.matrix_cache_key() else {
-            return Arc::new(TransformMatrix::for_numeric(mech, d_in, d_out, poison));
-        };
-        let key = Key { family, params, d_in, d_out, poison: poison.into() };
-        if let Some(hit) = self.map.lock().expect("matrix cache poisoned").get(&key) {
-            return Arc::clone(hit);
+        let build = || Arc::new(TransformMatrix::for_numeric(mech, d_in, d_out, poison));
+        match mech.matrix_cache_key() {
+            Some((family, params)) => {
+                let key = MatrixKey { family, params, d_in, d_out, poison: poison.into() };
+                self.0.get_or_load(key, build)
+            }
+            None => build(),
         }
-        // Build outside the lock: misses are rare and construction is the
-        // expensive part. Concurrent misses on the same key build twice and
-        // the second insert wins — both values are bit-identical.
-        let built = Arc::new(TransformMatrix::for_numeric(mech, d_in, d_out, poison));
-        let mut map = self.map.lock().expect("matrix cache poisoned");
-        if map.len() >= MAX_ENTRIES {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&built));
-        built
     }
+}
 
-    /// Number of cached matrices.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("matrix cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached matrix.
-    pub fn clear(&self) {
-        self.map.lock().expect("matrix cache poisoned").clear();
+impl Default for MatrixCache {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

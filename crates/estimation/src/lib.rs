@@ -11,12 +11,16 @@
 //! * [`ems`] — EM with smoothing (Li et al., SIGMOD 2020) for Square-Wave
 //!   distribution estimation,
 //! * [`stats`] — means, variances, MSE, Wasserstein-1 distance,
-//! * [`rng`] — deterministic RNG plumbing for reproducible experiments.
+//! * [`rng`] — deterministic RNG plumbing for reproducible experiments,
+//! * [`memo`] — the keyed LRU with single-flight loading behind every
+//!   process-wide cache ([`MatrixCache`] here, the population and report
+//!   caches downstream).
 
 pub mod cache;
 pub mod em;
 pub mod ems;
 pub mod grid;
+pub mod memo;
 pub mod rng;
 pub mod sampling;
 pub mod stats;
@@ -25,4 +29,5 @@ pub mod transform;
 pub use cache::{cached_for_numeric, MatrixCache};
 pub use em::{EmOptions, EmOutcome, EmWorkspace, MStep};
 pub use grid::Grid;
+pub use memo::{Memo, MemoStats};
 pub use transform::{PoisonRegion, StructuredColumns, TransformMatrix};

@@ -66,6 +66,47 @@ pub fn derive(seed: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(split_mix(seed ^ split_mix(stream)))
 }
 
+/// FNV-1a over little-endian words and length-prefixed byte strings — the
+/// stable digest behind session-compatibility checks, cell stream ids and
+/// the caches' generation streams. No `std::hash` involvement, so digests
+/// are stable across Rust versions and can be pinned in golden files and
+/// exchanged between processes.
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// Fresh hasher at the FNV offset basis.
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds one word (as its 8 little-endian bytes).
+    pub fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// Feeds raw bytes, length-prefixed so `"ab" + "c"` ≠ `"a" + "bc"`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// The digest.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
 fn split_mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
