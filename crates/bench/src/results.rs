@@ -380,6 +380,8 @@ impl ResultSet {
 /// A deliberately small, strict JSON reader — just enough for the schema
 /// this module emits (and hand-edited variants of it).
 pub mod json {
+    use std::collections::HashSet;
+
     /// Parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -458,9 +460,14 @@ pub mod json {
         }
     }
 
+    /// Deepest nesting of objects and arrays a document may use. The
+    /// results schema nests a handful of levels; the cap turns a hostile
+    /// `[[[[…` into a typed error instead of a stack overflow.
+    const MAX_DEPTH: usize = 64;
+
     /// Parses one JSON document (trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let mut p = Parser { b: text.as_bytes(), i: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.i != p.b.len() {
@@ -472,6 +479,8 @@ pub mod json {
     struct Parser<'a> {
         b: &'a [u8],
         i: usize,
+        /// Objects and arrays currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -499,8 +508,15 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                b'{' | b'[' if self.depth == MAX_DEPTH => {
+                    Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i))
+                }
+                open @ (b'{' | b'[') => {
+                    self.depth += 1;
+                    let v = if open == b'{' { self.object() } else { self.array() };
+                    self.depth -= 1;
+                    v
+                }
                 b'"' => Ok(Value::String(self.string()?)),
                 b't' => self.literal("true", Value::Bool(true)),
                 b'f' => self.literal("false", Value::Bool(false)),
@@ -521,6 +537,7 @@ pub mod json {
         fn object(&mut self) -> Result<Value, String> {
             self.expect(b'{')?;
             let mut fields: Vec<(String, Value)> = Vec::new();
+            let mut seen = HashSet::new();
             if self.peek()? == b'}' {
                 self.i += 1;
                 return Ok(Value::Object(Object(fields)));
@@ -528,7 +545,7 @@ pub mod json {
             loop {
                 self.skip_ws();
                 let key = self.string()?;
-                if fields.iter().any(|(k, _)| *k == key) {
+                if !seen.insert(key.clone()) {
                     return Err(format!("duplicate key '{key}'"));
                 }
                 self.expect(b':')?;
@@ -765,6 +782,9 @@ mod tests {
         assert!(json::parse("{} extra").is_err());
         assert!(json::parse(r#"{"a": 1, "a": 2}"#).is_err(), "duplicate keys");
         assert!(json::parse(r#"{"a": [1, 2,]}"#).is_err(), "trailing comma");
+        let deep = "[".repeat(100_000);
+        assert!(json::parse(&deep).unwrap_err().contains("nesting deeper than"));
+        assert!(ResultSet::from_json(&deep).is_err(), "deep document");
         let v = json::parse(r#"{"x": [1.5, "two\n", true, null], "y": {}}"#).expect("valid");
         let o = v.as_object("top").unwrap();
         assert_eq!(o.field("x").unwrap().as_array("x").unwrap().len(), 4);

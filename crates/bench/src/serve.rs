@@ -1176,10 +1176,11 @@ impl SubmitSpec {
         })
     }
 
-    /// Simulates the population into per-group [`STREAM_CHUNK`]-sized
-    /// report chunks, consuming `rng` exactly as the old inline stream
-    /// (and [`Dap::run_schemes_on`]) did: per group, honest members in
-    /// assignment order, then the group's poison block.
+    /// Simulates the population into per-group report chunks, consuming
+    /// `rng` exactly as [`Dap::run_schemes_on`] does
+    /// ([`GroupPlan::simulate_round`]). A chunk is cut as soon as whole
+    /// users fill [`STREAM_CHUNK`] reports; the group's last chunk carries
+    /// the honest remainder plus its poison block.
     fn build_chunks<M, F>(
         &self,
         factory: &F,
@@ -1192,35 +1193,26 @@ impl SubmitSpec {
     {
         let (honest, _) = self.population();
         let attack = self.attack();
-        let n_honest = honest.len();
         let mut all = Vec::with_capacity(session.group_count());
-        for g in 0..session.group_count() {
-            let assign = session.client_assignment(g).map_err(|e| e.to_string())?;
-            let mech = factory(assign.eps_t);
-            let mut buf = vec![0.0f64; assign.k_t];
-            let mut chunks: Vec<Vec<f64>> = Vec::new();
-            let mut chunk: Vec<f64> = Vec::with_capacity(STREAM_CHUNK + assign.k_t);
-            let mut byz_members = 0usize;
-            for i in 0..session.plan().assignment[g].len() {
-                let user = session.plan().assignment[g][i];
-                if user < n_honest {
-                    assign.perturb_into(&mech, honest[user], &mut buf, rng);
-                    chunk.extend_from_slice(&buf);
-                    if chunk.len() >= STREAM_CHUNK {
-                        chunks.push(std::mem::take(&mut chunk));
-                    }
-                } else {
-                    byz_members += 1;
+        let (mut chunks, mut chunk) = (Vec::new(), Vec::with_capacity(STREAM_CHUNK));
+        session.plan().simulate_round(
+            honest.len(),
+            Some(&honest),
+            Some(attack.as_ref()),
+            factory,
+            rng,
+            |_, user, reports| {
+                chunk.extend_from_slice(reports);
+                let group_done = user.is_none();
+                if group_done && !chunk.is_empty() || chunk.len() >= STREAM_CHUNK {
+                    chunks.push(std::mem::replace(&mut chunk, Vec::with_capacity(STREAM_CHUNK)));
                 }
-            }
-            let mut poison = vec![0.0f64; byz_members * assign.k_t];
-            let n_poison = attack.reports_into(&mut poison, &mech, rng);
-            chunk.extend_from_slice(&poison[..n_poison]);
-            if !chunk.is_empty() {
-                chunks.push(chunk);
-            }
-            all.push(chunks);
-        }
+                if group_done {
+                    all.push(std::mem::take(&mut chunks));
+                }
+                Ok::<_, String>(())
+            },
+        )?;
         Ok(all)
     }
 }
@@ -1501,5 +1493,83 @@ mod tests {
             ..spec
         };
         assert_eq!(spec.state_digest().unwrap(), masked.state_digest().unwrap());
+    }
+
+    /// Pins the `seq-batch` frames `submit` sends: every chunk of a group
+    /// but the last is the first user-aligned length reaching
+    /// [`STREAM_CHUNK`], the last holds the honest remainder plus the
+    /// poison block, no chunk is empty, and the chunks concatenate to the
+    /// group's stream (honest members in assignment order, then poison),
+    /// rebuilt here by an independent loop on the same seed.
+    #[test]
+    fn build_chunks_cut_each_group_stream_at_user_aligned_chunks() {
+        fn check<M, F>(spec: &SubmitSpec, factory: F)
+        where
+            M: NumericMechanism + Sync,
+            F: Fn(Epsilon) -> M,
+        {
+            let cfg = spec.serve.session_config();
+            let mut rng = seeded(spec.serve.seed);
+            let plan = GroupPlan::build(spec.serve.users, cfg.eps, cfg.eps0, &mut rng);
+            let session = DapSession::new(cfg, plan.clone(), &factory).unwrap();
+            let mut stream_rng = rng.clone();
+            let chunks = spec.build_chunks(&factory, &session, &mut rng).unwrap();
+            assert_eq!(chunks.len(), plan.len());
+
+            let (honest, _) = spec.population();
+            let attack = spec.attack();
+            let mut oversized = 0;
+            for (g, group) in chunks.iter().enumerate() {
+                let assign = plan.client_assignment(g);
+                let mech = factory(assign.eps_t);
+                let mut stream = Vec::new();
+                let mut byz = 0;
+                for &user in &plan.assignment[g] {
+                    if user < honest.len() {
+                        let mut buf = vec![0.0; assign.k_t];
+                        mech.perturb_into(honest[user], &mut buf, &mut stream_rng);
+                        stream.extend_from_slice(&buf);
+                    } else {
+                        byz += 1;
+                    }
+                }
+                let n_honest = stream.len();
+                let mut poison = vec![0.0; byz * assign.k_t];
+                let n = attack.reports_into(&mut poison, &mech, &mut stream_rng);
+                stream.extend_from_slice(&poison[..n]);
+
+                let full = STREAM_CHUNK.div_ceil(assign.k_t) * assign.k_t;
+                let (last, rest) = group.split_last().expect("every group streams reports");
+                let short = rest.iter().find(|c| c.len() != full).map(Vec::len);
+                assert_eq!(short, None, "group {g}: a non-final chunk is not {full} long");
+                assert_eq!(last.len(), n_honest - rest.len() * full + n, "group {g}: last chunk");
+                assert!(group.iter().all(|c| !c.is_empty()), "group {g}: empty chunk");
+                let concat: Vec<u64> = group.iter().flatten().map(|v| v.to_bits()).collect();
+                let expected: Vec<u64> = stream.iter().map(|v| v.to_bits()).collect();
+                assert!(concat == expected, "group {g}: chunks are not the group's stream");
+                oversized += usize::from(!rest.is_empty());
+            }
+            assert!(oversized > 0, "no group spans more than one chunk");
+        }
+        for mech in [WireMech::Pm, WireMech::Sw] {
+            let spec = SubmitSpec {
+                serve: ServeSpec {
+                    mech,
+                    eps: 1.0,
+                    eps0: 1.0 / 16.0,
+                    users: 40_000,
+                    seed: 3,
+                    max_d_out: 16,
+                    secagg: None,
+                },
+                dataset: Dataset::Taxi,
+                gamma: 0.25,
+                data_seed: 4,
+            };
+            match mech {
+                WireMech::Pm => check(&spec, PiecewiseMechanism::new),
+                WireMech::Sw => check(&spec, SquareWave::new),
+            }
+        }
     }
 }

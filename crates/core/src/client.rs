@@ -46,8 +46,8 @@ impl ClientAssignment {
     /// `ε_t` — both are the client's own bookkeeping, so violations are
     /// programming errors (panics), not protocol errors.
     ///
-    /// Generic over the mechanism and RNG so the simulation hot path gets
-    /// the same fully inlined draws as the pre-split protocol loop
+    /// Generic over the mechanism and RNG so the simulation hot path
+    /// ([`crate::GroupPlan::simulate_round`]) gets fully inlined draws
     /// ([`NumericMechanism::perturb_into`]).
     pub fn perturb_into<M: NumericMechanism, R: RngCore>(
         &self,
@@ -63,18 +63,6 @@ impl ClientAssignment {
             "mechanism budget does not match the assignment"
         );
         mech.perturb_into(value, out, rng);
-    }
-
-    /// Allocating variant of [`Self::perturb_into`].
-    pub fn perturb<M: NumericMechanism, R: RngCore>(
-        &self,
-        mech: &M,
-        value: f64,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; self.k_t];
-        self.perturb_into(mech, value, &mut out, rng);
-        out
     }
 }
 
@@ -97,8 +85,8 @@ mod tests {
     fn reports_stay_in_the_output_domain() {
         let a = assignment();
         let mech = PiecewiseMechanism::new(a.eps_t);
-        let reports = a.perturb(&mech, 0.3, &mut seeded(1));
-        assert_eq!(reports.len(), 4);
+        let mut reports = [0.0; 4];
+        a.perturb_into(&mech, 0.3, &mut reports, &mut seeded(1));
         let (lo, hi) = dap_ldp::NumericMechanism::output_range(&mech);
         assert!(reports.iter().all(|r| (lo..=hi).contains(r)));
     }
@@ -107,7 +95,8 @@ mod tests {
     fn matches_direct_perturb_into_bitwise() {
         let a = assignment();
         let mech = PiecewiseMechanism::new(a.eps_t);
-        let client = a.perturb(&mech, -0.4, &mut seeded(9));
+        let mut client = vec![0.0; a.k_t];
+        a.perturb_into(&mech, -0.4, &mut client, &mut seeded(9));
         let mut direct = vec![0.0; a.k_t];
         mech.perturb_into(-0.4, &mut direct, &mut seeded(9));
         assert_eq!(

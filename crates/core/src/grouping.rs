@@ -4,8 +4,12 @@
 //! `h = ⌈log₂(ε/ε₀)⌉ + 1` equal-sized groups with budgets
 //! `ε, ε/2, ε/4, …, ε₀`, and randomly assigns users. A user in group `t`
 //! reports `ε/ε_t` times so every user spends exactly ε in total.
+//! [`GroupPlan::simulate_round`] plays every client of a plan.
 
-use dap_ldp::Epsilon;
+use crate::client::ClientAssignment;
+use crate::error::DapError;
+use dap_attack::Attack;
+use dap_ldp::{Epsilon, NumericMechanism};
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -24,7 +28,7 @@ use rand::RngCore;
 ///     assert!((*k as f64 * eps_t.get() - 1.0).abs() < 1e-12);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroupPlan {
     /// Per-group privacy budget `ε_t` (decreasing).
     pub budgets: Vec<Epsilon>,
@@ -110,17 +114,68 @@ impl GroupPlan {
     }
 
     /// The grouping instruction sent to clients of group `g`: report
-    /// [`crate::client::ClientAssignment::k_t`] times under budget `ε_t`.
+    /// [`ClientAssignment::k_t`] times under budget `ε_t`.
     ///
     /// # Panics
     /// If `g` is not a group of this plan (use
     /// [`crate::DapSession::client_assignment`] for a fallible lookup).
-    pub fn client_assignment(&self, g: usize) -> crate::client::ClientAssignment {
-        crate::client::ClientAssignment {
-            group: g,
-            eps_t: self.budgets[g],
-            k_t: self.reports_per_user[g],
+    pub fn client_assignment(&self, g: usize) -> ClientAssignment {
+        ClientAssignment { group: g, eps_t: self.budgets[g], k_t: self.reports_per_user[g] }
+    }
+
+    /// Rejects a plan that was not built for the budgets `(ε, ε₀)`: wrong
+    /// group count, or a first group not at ε.
+    pub(crate) fn check_budgets(&self, eps: f64, eps0: f64) -> Result<(), DapError> {
+        if self.len() != GroupPlan::group_count(eps, eps0)
+            || self.budgets[0].get().to_bits() != eps.to_bits()
+        {
+            return Err(DapError::SessionMismatch { what: "config budgets and group plan" });
         }
+        Ok(())
+    }
+
+    /// Simulates one round over this plan, in the one random-number order
+    /// a round has: per group, every honest member in assignment order
+    /// perturbs their value into `k_t` reports, then the coalition's poison
+    /// block is drawn. Users below `n_honest` are honest; `honest: None`
+    /// skips their draws (a poison-only replay), `attack: None` draws no
+    /// poison.
+    ///
+    /// `sink(assignment, user, reports)` gets `Some(user)` with one honest
+    /// member's reports and `None` with the poison block, which comes once
+    /// per group (empty when nothing was drawn) and so ends the group. The
+    /// first error `sink` returns stops the round.
+    pub fn simulate_round<M, R, E>(
+        &self,
+        n_honest: usize,
+        honest: Option<&[f64]>,
+        attack: Option<&dyn Attack>,
+        mech_factory: impl Fn(Epsilon) -> M,
+        rng: &mut R,
+        mut sink: impl FnMut(ClientAssignment, Option<usize>, &[f64]) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        M: NumericMechanism,
+        R: RngCore,
+    {
+        for g in 0..self.len() {
+            let assign = self.client_assignment(g);
+            let mech = mech_factory(assign.eps_t);
+            let mut buf = vec![0.0f64; assign.k_t];
+            let mut byz_members = 0usize;
+            for &user in &self.assignment[g] {
+                if user >= n_honest {
+                    byz_members += 1;
+                } else if let Some(values) = honest {
+                    assign.perturb_into(&mech, values[user], &mut buf, rng);
+                    sink(assign, Some(user), &buf)?;
+                }
+            }
+            let mut poison = vec![0.0f64; attack.map_or(0, |_| byz_members * assign.k_t)];
+            let drawn = attack.map_or(0, |a| a.reports_into(&mut poison, &mech, rng));
+            sink(assign, None, &poison[..drawn])?;
+        }
+        Ok(())
     }
 }
 

@@ -11,6 +11,7 @@
 
 use crate::accountant::PrivacyAccountant;
 use crate::aggregation::Weighting;
+use crate::client::ClientAssignment;
 use crate::error::DapError;
 use crate::grouping::GroupPlan;
 use crate::population::Population;
@@ -322,34 +323,26 @@ where
 
         // Stage 2: perturbation, client by client. User indices < |honest|
         // are honest; the rest are the coalition (assignment order is
-        // already shuffled). Each honest user perturbs locally under their
-        // assignment; the coalition matches the honest report volume with
-        // k_t poison reports per member, scaled to the group's output
-        // domain. Everything lands in the session through one ingestion
-        // path.
-        let n_honest = honest.len();
-        for g in 0..session.group_count() {
-            let assign = session.client_assignment(g)?;
-            let mech = (self.mech_factory)(assign.eps_t);
-            let mut report_buf = vec![0.0f64; assign.k_t];
-            let mut byz_members = 0usize;
-            for i in 0..session.plan().assignment[g].len() {
-                let user = session.plan().assignment[g][i];
-                if user < n_honest {
-                    // One accountant charge covers the user's k_t reports at
-                    // ε_t each; ε_t = ε/2^t and k_t = 2^t, so the product is
-                    // exactly ε with no accumulation error.
-                    accountant.charge(user, assign.total_spend())?;
-                    assign.perturb_into(&mech, honest[user], &mut report_buf, rng);
-                    session.ingest_batch(g, &report_buf)?;
-                } else {
-                    byz_members += 1;
-                }
-            }
-            let mut poison = vec![0.0f64; byz_members * assign.k_t];
-            let n_poison = attack.reports_into(&mut poison, &mech, rng);
-            session.ingest_batch(g, &poison[..n_poison])?;
-        }
+        // already shuffled). Every report lands in the session through one
+        // ingestion path, one user at a time.
+        session.with_plan(|plan, session| {
+            plan.simulate_round(
+                honest.len(),
+                Some(honest),
+                Some(attack),
+                &self.mech_factory,
+                rng,
+                |assign, user, reports| {
+                    if let Some(user) = user {
+                        // One charge covers the user's k_t reports at ε_t
+                        // each; ε_t = ε/2^t and k_t = 2^t, so the product
+                        // is exactly ε with no accumulation error.
+                        accountant.charge(user, assign.total_spend())?;
+                    }
+                    session.ingest_batch(assign.group, reports)
+                },
+            )
+        })?;
         debug_assert!(accountant.all_depleted() || byzantine > 0);
 
         // Stages 3–5: probe, per-group estimation, aggregation.
@@ -379,29 +372,26 @@ where
             return Err(DapError::EmptyPopulation);
         }
         let plan = GroupPlan::build(n_total, cfg.eps, cfg.eps0, rng);
-        // A throwaway session gives us the validated per-group client
-        // assignments without duplicating the budget arithmetic here.
-        let session = DapSession::new(*cfg, plan.clone(), &self.mech_factory)?;
         let mut accountant = PrivacyAccountant::new(n_total, cfg.eps);
-
         let n_honest = honest.len();
-        let mut group_reports = Vec::with_capacity(plan.assignment.len());
-        for g in 0..session.group_count() {
-            let assign = session.client_assignment(g)?;
-            let mech = (self.mech_factory)(assign.eps_t);
-            let mut report_buf = vec![0.0f64; assign.k_t];
-            let honest_members =
-                plan.assignment[g].iter().filter(|&&u| u < n_honest).count();
-            let mut reports = Vec::with_capacity(honest_members * assign.k_t);
-            for &user in &plan.assignment[g] {
-                if user < n_honest {
+        let mut group_reports = Vec::with_capacity(plan.len());
+        let mut reports = Vec::new();
+        let mut sink = |assign: ClientAssignment, user: Option<usize>, batch: &[f64]| {
+            match user {
+                Some(user) => {
+                    if reports.capacity() == 0 {
+                        let members = plan.assignment[assign.group].iter();
+                        let honest_members = members.filter(|&&u| u < n_honest).count();
+                        reports.reserve_exact(honest_members * assign.k_t);
+                    }
                     accountant.charge(user, assign.total_spend())?;
-                    assign.perturb_into(&mech, honest[user], &mut report_buf, rng);
-                    reports.extend_from_slice(&report_buf);
+                    reports.extend_from_slice(batch);
                 }
+                None => group_reports.push(std::mem::take(&mut reports)),
             }
-            group_reports.push(reports);
-        }
+            Ok::<_, DapError>(())
+        };
+        plan.simulate_round(n_honest, Some(honest), None, &self.mech_factory, rng, &mut sink)?;
         debug_assert!(accountant.all_depleted() || byzantine > 0);
         Ok(PreparedReports {
             plan,
@@ -424,22 +414,19 @@ where
         attack: &dyn Attack,
         rng: &mut R,
     ) -> Result<Vec<Vec<f64>>, DapError> {
-        let cfg = &self.config;
         self.check_prepared(prepared)?;
-        let session = DapSession::new(*cfg, prepared.plan.clone(), &self.mech_factory)?;
-        let mut batches = Vec::with_capacity(session.group_count());
-        for g in 0..session.group_count() {
-            let assign = session.client_assignment(g)?;
-            let byz_members = prepared.plan.assignment[g]
-                .iter()
-                .filter(|&&u| u >= prepared.n_honest)
-                .count();
-            let mech = (self.mech_factory)(assign.eps_t);
-            let mut poison = vec![0.0f64; byz_members * assign.k_t];
-            let n_poison = attack.reports_into(&mut poison, &mech, rng);
-            poison.truncate(n_poison);
-            batches.push(poison);
-        }
+        let mut batches = Vec::with_capacity(prepared.plan.len());
+        prepared.plan.simulate_round(
+            prepared.n_honest,
+            None,
+            Some(attack),
+            &self.mech_factory,
+            rng,
+            |_, _, poison| {
+                batches.push(poison.to_vec());
+                Ok::<_, DapError>(())
+            },
+        )?;
         Ok(batches)
     }
 
@@ -473,9 +460,9 @@ where
         session.finalize(schemes)
     }
 
-    /// Rejects a [`PreparedReports`] whose grouping parameters do not match
-    /// this session's config, so a stale cache entry cannot silently
-    /// aggregate under the wrong plan.
+    /// Rejects a [`PreparedReports`] whose grouping parameters or plan do
+    /// not match this session's config, so a stale cache entry cannot
+    /// silently aggregate under the wrong plan.
     fn check_prepared(&self, prepared: &PreparedReports) -> Result<(), DapError> {
         let cfg = &self.config;
         if prepared.eps != cfg.eps || prepared.eps0 != cfg.eps0 {
@@ -487,7 +474,7 @@ where
                 ),
             });
         }
-        Ok(())
+        prepared.plan.check_budgets(cfg.eps, cfg.eps0)
     }
 }
 

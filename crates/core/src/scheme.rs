@@ -4,7 +4,7 @@
 use dap_attack::Side;
 use dap_emf::{cemf_star, cemf_star_threshold, EmfConfig};
 use dap_estimation::em::{self, EmOutcome, EmWorkspace, MStep};
-use dap_estimation::{cached_for_numeric, Grid, PoisonRegion};
+use dap_estimation::{cached_for_numeric, Grid, PoisonRegion, TransformMatrix};
 use dap_ldp::NumericMechanism;
 
 /// Which EMF reconstruction a DAP variant uses per group (§V-B).
@@ -65,9 +65,10 @@ pub fn estimate_group_mean(
     scheme: Scheme,
     config: &EmfConfig,
 ) -> GroupEstimate {
-    estimate_group_means(
+    let hist = GroupHistogram::from_reports(mech, reports, config.d_out);
+    estimate_group_means_hist(
         mech,
-        reports,
+        &hist,
         side,
         o_prime,
         gamma_global,
@@ -107,44 +108,70 @@ impl GroupHistogram {
     }
 }
 
-/// [`estimate_group_mean`] for several schemes over the *same* reports,
-/// sharing everything the schemes have in common: the report histogram, the
-/// (cached) transform matrix, and the base EMF fit — EMF's own outcome and
-/// the input to CEMF\*'s suppression rule, which the per-scheme path used
-/// to recompute from scratch. EMF\* never needs the base fit at all, so it
-/// runs exactly one constrained solve.
-///
-/// `probed_base` short-circuits the base fit with an EMF outcome already
-/// computed on this exact `(matrix, counts, options)` problem — the probing
-/// stage's chosen-side run for the most private group. Estimates come back
-/// in `schemes` order.
+/// The solve dispatch both estimation modes share: the reconstructions
+/// `schemes` ask for on one group's histogram, poison block on `side` of
+/// `pivot`, each read off by `read`, in `schemes` order. Each solve runs
+/// at most once: the free EMF fit serves EMF and CEMF\*'s suppression rule,
+/// EMF\* runs one constrained solve. `probed_base` replaces the free fit
+/// with one already computed on this exact problem (the probe's
+/// chosen-side run for the most private group).
 #[allow(clippy::too_many_arguments)]
-pub fn estimate_group_means(
+pub(crate) fn solve_schemes<T>(
     mech: &dyn NumericMechanism,
-    reports: &[f64],
+    hist: &GroupHistogram,
     side: Side,
-    o_prime: f64,
+    pivot: f64,
     gamma_global: f64,
     schemes: &[Scheme],
     config: &EmfConfig,
     probed_base: Option<&EmOutcome>,
     ws: &mut EmWorkspace,
-) -> Vec<GroupEstimate> {
-    let hist = GroupHistogram::from_reports(mech, reports, config.d_out);
-    estimate_group_means_hist(
-        mech,
-        &hist,
-        side,
-        o_prime,
-        gamma_global,
-        schemes,
-        config,
-        probed_base,
-        ws,
-    )
+    read: impl Fn(&TransformMatrix, &EmOutcome) -> T,
+) -> Vec<T> {
+    assert_eq!(hist.counts.len(), config.d_out, "histogram resolution mismatch");
+    let counts = &hist.counts;
+    let region = match side {
+        Side::Right => PoisonRegion::RightOf(pivot),
+        Side::Left => PoisonRegion::LeftOf(pivot),
+    };
+    let matrix = cached_for_numeric(mech, config.d_in, config.d_out, &region);
+
+    let needs_base = schemes.iter().any(|s| matches!(s, Scheme::Emf | Scheme::CemfStar));
+    let solved;
+    let base: Option<&EmOutcome> = match probed_base {
+        Some(b) if needs_base => Some(b),
+        None if needs_base => {
+            solved = em::solve_in(&matrix, counts, MStep::Free, &config.em, ws);
+            Some(&solved)
+        }
+        _ => None,
+    };
+    let star: Option<EmOutcome> = schemes.contains(&Scheme::EmfStar).then(|| {
+        em::solve_in(&matrix, counts, MStep::Constrained { gamma: gamma_global }, &config.em, ws)
+    });
+    let cemf: Option<EmOutcome> = schemes.contains(&Scheme::CemfStar).then(|| {
+        let b = base.expect("base computed for CEMF*");
+        let thr = cemf_star_threshold(gamma_global, matrix.poison_buckets().len());
+        cemf_star(&matrix, counts, gamma_global, thr, b, &config.em)
+    });
+
+    schemes
+        .iter()
+        .map(|scheme| {
+            let outcome = match scheme {
+                Scheme::Emf => base.expect("base computed for EMF"),
+                Scheme::EmfStar => star.as_ref().expect("star computed"),
+                Scheme::CemfStar => cemf.as_ref().expect("cemf computed"),
+            };
+            read(&matrix, outcome)
+        })
+        .collect()
 }
 
-/// [`estimate_group_means`] over a pre-bucketed [`GroupHistogram`].
+/// [`estimate_group_mean`] for several schemes over one pre-bucketed
+/// [`GroupHistogram`], sharing the transform matrix and the solves the
+/// schemes have in common — [`crate::DapSession`]'s report-sum
+/// estimation path. Estimates come back in `schemes` order.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_group_means_hist(
     mech: &dyn NumericMechanism,
@@ -164,63 +191,28 @@ pub fn estimate_group_means_hist(
             .map(|_| GroupEstimate { mean: 0.0, n_reports: 0, m_hat: 0.0, gamma_group: 0.0 })
             .collect();
     }
-    assert_eq!(hist.counts.len(), config.d_out, "histogram resolution mismatch");
-    let counts = &hist.counts;
-    let region = match side {
-        Side::Right => PoisonRegion::RightOf(o_prime),
-        Side::Left => PoisonRegion::LeftOf(o_prime),
-    };
-    let matrix = cached_for_numeric(mech, config.d_in, config.d_out, &region);
-
-    // Shared solves, each at most once.
-    let needs_base =
-        schemes.iter().any(|s| matches!(s, Scheme::Emf | Scheme::CemfStar));
-    let base: Option<EmOutcome> = if needs_base {
-        Some(match probed_base {
-            Some(b) => b.clone(),
-            None => em::solve_in(&matrix, counts, MStep::Free, &config.em, ws),
-        })
-    } else {
-        None
-    };
-    let star: Option<EmOutcome> = schemes.contains(&Scheme::EmfStar).then(|| {
-        em::solve_in(&matrix, counts, MStep::Constrained { gamma: gamma_global }, &config.em, ws)
-    });
-    let cemf: Option<EmOutcome> = schemes.contains(&Scheme::CemfStar).then(|| {
-        let b = base.as_ref().expect("base computed for CEMF*");
-        let thr = cemf_star_threshold(gamma_global, matrix.poison_buckets().len());
-        cemf_star(&matrix, counts, gamma_global, thr, b, &config.em)
-    });
-
     let sum_reports: f64 = hist.sum_reports;
-    schemes
-        .iter()
-        .map(|scheme| {
-            let outcome = match scheme {
-                Scheme::Emf => base.as_ref().expect("base computed for EMF"),
-                Scheme::EmfStar => star.as_ref().expect("star computed"),
-                Scheme::CemfStar => cemf.as_ref().expect("cemf computed"),
-            };
-            let gamma_group: f64 = outcome.poison.iter().sum();
-            let nt = n_reports as f64;
-            let m_hat = nt * gamma_group;
-            let poison_term: f64 = outcome
-                .poison
-                .iter()
-                .zip(matrix.output_centers())
-                .map(|(y, nu)| nt * y * nu)
-                .sum();
-            let honest_reports = nt - m_hat;
-            let mean = if honest_reports >= 1.0 {
-                mech.debias_mean((sum_reports - poison_term) / honest_reports)
-            } else {
-                // Degenerate probe claiming everything is poison: fall back
-                // to the uncorrected mean rather than dividing by ~0.
-                mech.debias_mean(sum_reports / nt)
-            };
-            GroupEstimate { mean, n_reports, m_hat, gamma_group }
-        })
-        .collect()
+    let read = |matrix: &TransformMatrix, outcome: &EmOutcome| {
+        let gamma_group: f64 = outcome.poison.iter().sum();
+        let nt = n_reports as f64;
+        let m_hat = nt * gamma_group;
+        let poison_term: f64 = outcome
+            .poison
+            .iter()
+            .zip(matrix.output_centers())
+            .map(|(y, nu)| nt * y * nu)
+            .sum();
+        let honest_reports = nt - m_hat;
+        let mean = if honest_reports >= 1.0 {
+            mech.debias_mean((sum_reports - poison_term) / honest_reports)
+        } else {
+            // Degenerate probe claiming everything is poison: fall back
+            // to the uncorrected mean rather than dividing by ~0.
+            mech.debias_mean(sum_reports / nt)
+        };
+        GroupEstimate { mean, n_reports, m_hat, gamma_group }
+    };
+    solve_schemes(mech, hist, side, o_prime, gamma_global, schemes, config, probed_base, ws, read)
 }
 
 #[cfg(test)]

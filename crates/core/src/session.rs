@@ -95,11 +95,7 @@ impl<M: NumericMechanism> DapSession<M> {
         F: Fn(Epsilon) -> M,
     {
         config.validate()?;
-        if plan.len() != GroupPlan::group_count(config.eps, config.eps0)
-            || plan.budgets[0].get().to_bits() != config.eps.to_bits()
-        {
-            return Err(DapError::SessionMismatch { what: "config budgets and group plan" });
-        }
+        plan.check_budgets(config.eps, config.eps0)?;
         let mut mechs = Vec::with_capacity(plan.len());
         let mut groups = Vec::with_capacity(plan.len());
         for g in 0..plan.len() {
@@ -152,6 +148,16 @@ impl<M: NumericMechanism> DapSession<M> {
     /// The grouping plan the session was opened with.
     pub fn plan(&self) -> &GroupPlan {
         &self.plan
+    }
+
+    /// Lends the plan out beside `&mut self` for the length of `f`, so a
+    /// simulation can walk the plan while it ingests into the session
+    /// without cloning every user index. Ingestion never reads the plan.
+    pub(crate) fn with_plan<T>(&mut self, f: impl FnOnce(&GroupPlan, &mut Self) -> T) -> T {
+        let plan = std::mem::take(&mut self.plan);
+        let out = f(&plan, self);
+        self.plan = plan;
+        out
     }
 
     /// Number of groups.
@@ -1335,7 +1341,8 @@ mod tests {
             for i in 0..s.plan().assignment[g].len() {
                 let user = s.plan().assignment[g][i];
                 if user < pop.honest.len() {
-                    let reports = assign.perturb(&mech, pop.honest[user], &mut rng);
+                    let mut reports = vec![0.0; assign.k_t];
+                    assign.perturb_into(&mech, pop.honest[user], &mut reports, &mut rng);
                     s.ingest_batch(g, &reports).unwrap();
                 } else {
                     byz += 1;

@@ -4,29 +4,32 @@
 //! report-sum correction does not apply. Instead each group's mean is read
 //! off the *reconstructed input histogram* `x̂` produced by EMF/EMF\*/CEMF\*
 //! on the SW transform matrix; the poison components absorb the injected
-//! mass exactly as in the PM pipeline. `O'` is bootstrapped the way the
-//! paper prescribes: EMS on the reports after removing the most extreme 50%
-//! on the hypothesized poisoned side.
+//! mass exactly as in the PM pipeline. The pipeline pivots the poison block
+//! at the input-domain end on the probed side: the probe compares the two
+//! inflation bands beyond `[0, 1]`, and every group's reconstruction puts
+//! its poison buckets past the same end (the session's band mode ignores
+//! the `o_prime` of [`SwDapConfig::session_config`]). [`sw_o_prime`] is the
+//! paper's bootstrap of `O'` — EMS on the reports after removing the most
+//! extreme 50% on the hypothesized poisoned side — kept as a tested
+//! standalone helper; the pipeline does not call it.
 //!
-//! [`SwDap`] is a thin driver over the same client/aggregator split as
-//! [`crate::Dap`]: both wire their populations through the
-//! [`crate::client`] module into one [`crate::DapSession`] ingestion path;
-//! only the session's [`crate::EstimationMode`] differs
-//! ([`crate::EstimationMode::HistogramBands`] here).
+//! [`SwDap`] is [`Dap`] over [`SquareWave`] with the session in
+//! [`crate::EstimationMode::HistogramBands`]: the same round simulator, the
+//! same [`crate::DapSession`] ingestion path and the same
+//! [`crate::DapOutput`]; only the per-group estimator differs.
 
 use crate::aggregation::Weighting;
 use crate::error::DapError;
-use crate::population::Population;
 use crate::protocol::{Dap, DapConfig};
-use crate::scheme::{GroupHistogram, Scheme};
+use crate::scheme::{solve_schemes, GroupHistogram, Scheme};
 use crate::session::EstimationMode;
-use dap_attack::{Attack, Side};
-use dap_emf::{cemf_star, cemf_star_threshold, emf, EmfConfig};
-use dap_estimation::em::{self, EmOutcome, EmWorkspace, MStep};
+use dap_attack::Side;
+use dap_emf::{emf, EmfConfig};
+use dap_estimation::em::{EmOutcome, EmWorkspace};
 use dap_estimation::stats::histogram_mean;
-use dap_estimation::{cached_for_numeric, ems, EmOptions, Grid, PoisonRegion};
-use dap_ldp::{NumericMechanism, SquareWave};
-use rand::RngCore;
+use dap_estimation::{cached_for_numeric, ems, EmOptions, Grid, PoisonRegion, TransformMatrix};
+use dap_ldp::{Epsilon, NumericMechanism, SquareWave};
+use std::ops::Deref;
 
 /// Bootstraps `O'` for SW: trim the most extreme half of the reports on
 /// `side`, reconstruct the remaining distribution with EMS, return its mean
@@ -54,41 +57,11 @@ pub fn sw_o_prime(
     histogram_mean(&outcome.histogram, matrix.input_centers())
 }
 
-/// Estimates one SW group's honest mean from the reconstructed histogram.
-pub fn sw_group_mean(
-    mech: &dyn NumericMechanism,
-    reports: &[f64],
-    side: Side,
-    o_prime_out: f64,
-    gamma_global: f64,
-    scheme: Scheme,
-    config: &EmfConfig,
-) -> (f64, f64) {
-    sw_group_means(mech, reports, side, o_prime_out, gamma_global, &[scheme], config)
-        .pop()
-        .expect("one scheme in, one estimate out")
-}
-
-/// [`sw_group_mean`] for several schemes over the same reports — buckets
-/// them and delegates to [`sw_group_means_hist`].
-pub fn sw_group_means(
-    mech: &dyn NumericMechanism,
-    reports: &[f64],
-    side: Side,
-    o_prime_out: f64,
-    gamma_global: f64,
-    schemes: &[Scheme],
-    config: &EmfConfig,
-) -> Vec<(f64, f64)> {
-    let hist = GroupHistogram::from_reports(mech, reports, config.d_out);
-    sw_group_means_hist(mech, &hist, side, o_prime_out, gamma_global, schemes, config)
-}
-
 /// Histogram-mean estimation for several schemes over a pre-bucketed
-/// [`GroupHistogram`], sharing the cached transform matrix and the base EMF
-/// fit across schemes (mirrors [`crate::scheme::estimate_group_means_hist`];
-/// this is [`crate::DapSession`]'s band-mode estimation path). Returns
-/// `(mean, γ_group)` pairs in `schemes` order.
+/// [`GroupHistogram`], reading each mean off the reconstructed input
+/// histogram `x̂` — [`crate::DapSession`]'s band-mode estimation path, with
+/// the solve dispatch of [`crate::scheme::estimate_group_means_hist`].
+/// Returns `(mean, γ_group)` pairs in `schemes` order.
 pub fn sw_group_means_hist(
     mech: &dyn NumericMechanism,
     hist: &GroupHistogram,
@@ -103,45 +76,11 @@ pub fn sw_group_means_hist(
         let (ilo, ihi) = mech.input_range();
         return vec![((ilo + ihi) / 2.0, 0.0); schemes.len()];
     }
-    assert_eq!(hist.counts.len(), config.d_out, "histogram resolution mismatch");
-    let counts = &hist.counts;
-    let region = match side {
-        Side::Right => PoisonRegion::RightOf(o_prime_out),
-        Side::Left => PoisonRegion::LeftOf(o_prime_out),
+    let read = |matrix: &TransformMatrix, outcome: &EmOutcome| {
+        (histogram_mean(&outcome.normal, matrix.input_centers()), outcome.poison.iter().sum())
     };
-    let matrix = cached_for_numeric(mech, config.d_in, config.d_out, &region);
-    let mut ws = EmWorkspace::new();
-
-    let needs_base = schemes.iter().any(|s| matches!(s, Scheme::Emf | Scheme::CemfStar));
-    let base: Option<EmOutcome> = needs_base
-        .then(|| em::solve_in(&matrix, counts, MStep::Free, &config.em, &mut ws));
-    let star: Option<EmOutcome> = schemes.contains(&Scheme::EmfStar).then(|| {
-        em::solve_in(
-            &matrix,
-            counts,
-            MStep::Constrained { gamma: gamma_global },
-            &config.em,
-            &mut ws,
-        )
-    });
-    let cemf: Option<EmOutcome> = schemes.contains(&Scheme::CemfStar).then(|| {
-        let b = base.as_ref().expect("base computed for CEMF*");
-        let thr = cemf_star_threshold(gamma_global, matrix.poison_buckets().len());
-        cemf_star(&matrix, counts, gamma_global, thr, b, &config.em)
-    });
-
-    schemes
-        .iter()
-        .map(|scheme| {
-            let outcome = match scheme {
-                Scheme::Emf => base.as_ref().expect("base computed for EMF"),
-                Scheme::EmfStar => star.as_ref().expect("star computed"),
-                Scheme::CemfStar => cemf.as_ref().expect("cemf computed"),
-            };
-            let gamma_group: f64 = outcome.poison.iter().sum();
-            (histogram_mean(&outcome.normal, matrix.input_centers()), gamma_group)
-        })
-        .collect()
+    let ws = &mut EmWorkspace::new();
+    solve_schemes(mech, hist, side, o_prime_out, gamma_global, schemes, config, None, ws, read)
 }
 
 /// Algorithm-3 analogue for biased mechanisms: compares the left inflation
@@ -220,84 +159,35 @@ impl SwDapConfig {
     }
 }
 
-/// Result of an SW-DAP run.
+/// The Square-Wave instantiation of DAP: a [`Dap`] over [`SquareWave`]
+/// with the session in band mode, built from a [`SwDapConfig`]. It
+/// dereferences to that [`Dap`], so `run`, `run_schemes` and
+/// `run_schemes_on` are [`Dap::run`], [`Dap::run_schemes`] and
+/// [`Dap::run_schemes_on`] on `[0, 1]`-valued populations.
 #[derive(Debug, Clone)]
-pub struct SwDapOutput {
-    /// Aggregated honest-mean estimate on `[0, 1]`.
-    pub mean: f64,
-    /// Probed poisoned side.
-    pub side: Side,
-    /// Probed coalition proportion.
-    pub gamma: f64,
-}
-
-/// The Square-Wave instantiation of DAP.
-#[derive(Debug, Clone)]
-pub struct SwDap {
-    config: SwDapConfig,
-}
+pub struct SwDap(Dap<fn(Epsilon) -> SquareWave>);
 
 impl SwDap {
     /// Builds the protocol, rejecting invalid budgets as [`DapError`]s.
     pub fn new(config: SwDapConfig) -> Result<Self, DapError> {
-        config.session_config().validate()?;
-        Ok(SwDap { config })
+        let factory: fn(Epsilon) -> SquareWave = SquareWave::new;
+        Ok(SwDap(Dap::new(config.session_config(), factory)?))
     }
+}
 
-    /// Runs grouping → perturbation → probing → histogram estimation →
-    /// aggregation on a `[0, 1]`-valued population.
-    pub fn run<R: RngCore>(
-        &self,
-        population: &Population,
-        attack: &dyn Attack,
-        rng: &mut R,
-    ) -> Result<SwDapOutput, DapError> {
-        Ok(self
-            .run_schemes(population, attack, &[self.config.scheme], rng)?
-            .pop()
-            .expect("one scheme in, one output out"))
-    }
+impl Deref for SwDap {
+    type Target = Dap<fn(Epsilon) -> SquareWave>;
 
-    /// Runs the protocol once and reads the result off under several
-    /// schemes — the SW analogue of [`crate::Dap::run_schemes`]:
-    /// grouping, perturbation, probing and the base EMF fits are shared;
-    /// `config.scheme` is ignored. Outputs come back in `schemes` order.
-    ///
-    /// Simulation and ingestion are literally [`crate::Dap`] over
-    /// [`SquareWave`]; only the session's estimation mode differs.
-    pub fn run_schemes<R: RngCore>(
-        &self,
-        population: &Population,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        self.run_schemes_on(&population.honest, population.byzantine, attack, schemes, rng)
-    }
-
-    /// [`SwDap::run_schemes`] over a borrowed honest-value slice — the SW
-    /// analogue of [`crate::Dap::run_schemes_on`], for cached populations.
-    pub fn run_schemes_on<R: RngCore>(
-        &self,
-        honest: &[f64],
-        byzantine: usize,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_on(honest, byzantine, attack, schemes, rng)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dap_attack::{Anchor, UniformAttack};
+    use crate::Population;
+    use dap_attack::{Anchor, Attack, UniformAttack};
     use dap_estimation::rng::seeded;
     use dap_estimation::sampling;
     use dap_estimation::stats::mean as smean;

@@ -35,30 +35,26 @@ fn main() {
         .build()
         .expect("valid config");
     let plan = GroupPlan::build(population.total(), config.eps, config.eps0, &mut rng);
-    let n_honest = population.honest.len();
 
     // Clients perturb locally, exactly as in the streaming example; the
     // batches are what flows into the (journaled) aggregator.
     let mut group_batches: Vec<(usize, Vec<f64>)> = Vec::new();
-    for g in 0..plan.len() {
-        let assign = plan.client_assignment(g);
-        let mech = PiecewiseMechanism::new(assign.eps_t);
-        let mut batch = Vec::new();
-        let mut buf = vec![0.0f64; assign.k_t];
-        let mut byz_members = 0usize;
-        for &user in &plan.assignment[g] {
-            if user < n_honest {
-                assign.perturb_into(&mech, population.honest[user], &mut buf, &mut rng);
-                batch.extend_from_slice(&buf);
-            } else {
-                byz_members += 1;
+    let mut batch = Vec::new();
+    plan.simulate_round(
+        population.honest.len(),
+        Some(&population.honest),
+        Some(&attack),
+        PiecewiseMechanism::new,
+        &mut rng,
+        |assign, user, reports| {
+            batch.extend_from_slice(reports);
+            if user.is_none() {
+                group_batches.push((assign.group, std::mem::take(&mut batch)));
             }
-        }
-        let mut poison = vec![0.0f64; byz_members * assign.k_t];
-        let n = attack.reports_into(&mut poison, &mech, &mut rng);
-        batch.extend_from_slice(&poison[..n]);
-        group_batches.push((g, batch));
-    }
+            Ok::<_, DapError>(())
+        },
+    )
+    .expect("simulated round");
 
     // A fresh session factory: recovery replays the journal into an empty
     // session of the same deployment (same config, same plan).

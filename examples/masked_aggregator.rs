@@ -101,33 +101,28 @@ fn main() {
     // chunk. Every chunk is retained: the dealer needs the report sums
     // (which are not secret-shared) and, if a server dies, the seed
     // reveal re-derives its share from these contributions.
-    let n_honest = honest.len();
     let mut group_chunks: Vec<Vec<Vec<f64>>> = Vec::new();
-    for g in 0..session.group_count() {
-        let assign = session.client_assignment(g).expect("known group");
-        let mech = PiecewiseMechanism::new(assign.eps_t);
-        let mut buf = vec![0.0f64; assign.k_t];
-        let mut chunks: Vec<Vec<f64>> = Vec::new();
-        let mut chunk: Vec<f64> = Vec::with_capacity(8192 + assign.k_t);
-        let mut byz_members = 0usize;
-        for i in 0..session.plan().assignment[g].len() {
-            let user = session.plan().assignment[g][i];
-            if user < n_honest {
-                assign.perturb_into(&mech, honest[user], &mut buf, &mut rng);
-                chunk.extend_from_slice(&buf);
-                if chunk.len() >= 8192 {
-                    chunks.push(std::mem::take(&mut chunk));
+    let (mut chunks, mut chunk) = (Vec::new(), Vec::with_capacity(8192));
+    session
+        .plan()
+        .simulate_round(
+            honest.len(),
+            Some(&honest),
+            Some(&attack),
+            PiecewiseMechanism::new,
+            &mut rng,
+            |_, user, reports| {
+                chunk.extend_from_slice(reports);
+                if user.is_none() || chunk.len() >= 8192 {
+                    chunks.push(std::mem::replace(&mut chunk, Vec::with_capacity(8192)));
                 }
-            } else {
-                byz_members += 1;
-            }
-        }
-        let mut poison = vec![0.0f64; byz_members * assign.k_t];
-        let n_poison = attack.reports_into(&mut poison, &mech, &mut rng);
-        chunk.extend_from_slice(&poison[..n_poison]);
-        chunks.push(chunk);
-        group_chunks.push(chunks);
-    }
+                if user.is_none() {
+                    group_chunks.push(std::mem::take(&mut chunks));
+                }
+                Ok::<_, DapError>(())
+            },
+        )
+        .expect("simulated round");
 
     // Deal: chunk (g, c) becomes K additive shares of its bucket counts.
     // Halfway through, share server 1 goes down for good.

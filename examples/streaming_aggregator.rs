@@ -25,44 +25,22 @@ fn main() {
 
     // The aggregator fixes the deployment and the grouping plan. In a real
     // service the plan's `client_assignment(g)` would be pushed to each
-    // user; here the simulation plays every client itself.
+    // user; here the simulation plays every client itself. The round (plan
+    // shuffle, then every client) runs on its own seed, so the one-shot
+    // driver at the end can replay it exactly.
+    const ROUND_SEED: u64 = 8;
     let config = DapConfig::builder()
         .eps(eps)
         .scheme(Scheme::EmfStar)
         .max_d_out(128)
         .build()
         .expect("valid config");
+    let mut rng = estimation::rng::seeded(ROUND_SEED);
     let plan = GroupPlan::build(population.total(), config.eps, config.eps0, &mut rng);
-    let n_honest = population.honest.len();
-
-    // Clients perturb locally, group by group; each group's report batch is
-    // routed to one of three shard workers (group-sharded ingestion keeps
-    // the merge bit-exact — see `DapSession::merge`).
-    const SHARDS: usize = 3;
-    let mut group_batches: Vec<(usize, Vec<f64>)> = Vec::new();
-    for g in 0..plan.len() {
-        let assign = plan.client_assignment(g);
-        let mech = PiecewiseMechanism::new(assign.eps_t);
-        let mut batch = Vec::new();
-        let mut buf = vec![0.0f64; assign.k_t];
-        let mut byz_members = 0usize;
-        for &user in &plan.assignment[g] {
-            if user < n_honest {
-                // One user's k_t reports, perturbed on "their device".
-                assign.perturb_into(&mech, population.honest[user], &mut buf, &mut rng);
-                batch.extend_from_slice(&buf);
-            } else {
-                byz_members += 1;
-            }
-        }
-        let mut poison = vec![0.0f64; byz_members * assign.k_t];
-        let n = attack.reports_into(&mut poison, &mech, &mut rng);
-        batch.extend_from_slice(&poison[..n]);
-        group_batches.push((g, batch));
-    }
 
     // Three shard sessions accumulate independently on worker threads; the
     // out-of-range/over-quota gate runs on each shard as reports arrive.
+    const SHARDS: usize = 3;
     let shards: Vec<DapSession<PiecewiseMechanism>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         let mut senders = Vec::new();
@@ -80,9 +58,21 @@ fn main() {
                 session
             }));
         }
-        for (g, batch) in group_batches {
-            senders[g % SHARDS].send((g, batch)).expect("worker alive");
-        }
+        // Clients perturb locally, group by group: each user's k_t reports,
+        // then the group's poison block, go to the shard owning the group
+        // (group-sharded ingestion keeps the merge bit-exact — see
+        // `DapSession::merge`).
+        plan.simulate_round(
+            population.honest.len(),
+            Some(&population.honest),
+            Some(&attack),
+            PiecewiseMechanism::new,
+            &mut rng,
+            |assign, _, reports| {
+                senders[assign.group % SHARDS].send((assign.group, reports.to_vec()))
+            },
+        )
+        .expect("worker alive");
         drop(senders);
         handles.into_iter().map(|h| h.join().expect("worker finished")).collect()
     });
@@ -105,15 +95,15 @@ fn main() {
         println!("{:<12} {:>+9.4} {:>+9.4}", scheme.label(), out.mean, out.mean - truth);
     }
 
-    // The session pipeline is exactly the one-shot simulation: same seeds,
-    // same bits.
+    // The sharded pipeline is exactly the one-shot simulation: the same
+    // round seed gives the same bits.
     let reference = Dap::new(config, PiecewiseMechanism::new)
         .expect("valid config")
-        .run_schemes(&population, &attack, &Scheme::ALL, &mut estimation::rng::seeded(7))
+        .run_schemes(&population, &attack, &Scheme::ALL, &mut estimation::rng::seeded(ROUND_SEED))
         .expect("valid run");
-    // (The reference consumes its own RNG from the seed, including the
-    // population draws above, so compare only qualitatively here.)
-    let gap = (reference[1].mean - outputs[1].mean).abs();
-    println!("\none-shot driver (fresh stream) EMF* estimate: {:+.4}", reference[1].mean);
-    assert!(gap < 0.2, "streaming and one-shot estimates far apart: {gap}");
+    for (one_shot, sharded) in reference.iter().zip(&outputs) {
+        let bits = |o: &DapOutput| [o.mean, o.gamma, o.min_variance].map(f64::to_bits);
+        assert_eq!(bits(one_shot), bits(sharded), "sharded run diverged from Dap::run_schemes");
+    }
+    println!("\none-shot driver on the same round seed: bit-identical for every scheme");
 }

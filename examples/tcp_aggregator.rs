@@ -13,7 +13,7 @@
 //! Run with `cargo run --release --example tcp_aggregator`.
 
 use differential_aggregation::prelude::*;
-use differential_aggregation::protocol::net::{serve_session, WireClient};
+use differential_aggregation::protocol::net::{serve_session, WireClient, WireError};
 use std::net::TcpListener;
 
 fn main() {
@@ -42,6 +42,10 @@ fn main() {
         .max_d_out(128)
         .build()
         .expect("valid config");
+    // The round (plan shuffle, then every client) runs on its own seed, so
+    // the one-shot driver at the end can replay it exactly.
+    const ROUND_SEED: u64 = 22;
+    let mut rng = estimation::rng::seeded(ROUND_SEED);
     let plan = GroupPlan::build(USERS, config.eps, config.eps0, &mut rng);
 
     // Three daemons on OS-assigned loopback ports, each serving its own
@@ -73,38 +77,30 @@ fn main() {
         })
         .collect();
 
-    let n_honest = honest.len();
+    // One user's k_t reports at a time, perturbed on "their device", are
+    // shipped in order (order is part of the exactness contract for the
+    // running report sums); the poison block closes each group.
     let mut streamed = 0usize;
-    for g in 0..session.group_count() {
-        let owner = g % clients.len();
-        let assign = session.client_assignment(g).expect("known group");
-        let mech = PiecewiseMechanism::new(assign.eps_t);
-        let mut buf = vec![0.0f64; assign.k_t];
-        let mut chunk: Vec<f64> = Vec::with_capacity(8192 + assign.k_t);
-        let mut byz_members = 0usize;
-        for i in 0..session.plan().assignment[g].len() {
-            let user = session.plan().assignment[g][i];
-            if user < n_honest {
-                // One user's k_t reports, perturbed on "their device",
-                // shipped in order (order is part of the exactness
-                // contract for the running report sums).
-                assign.perturb_into(&mech, honest[user], &mut buf, &mut rng);
-                chunk.extend_from_slice(&buf);
-                if chunk.len() >= 8192 {
+    let mut chunk: Vec<f64> = Vec::with_capacity(8192);
+    session
+        .plan()
+        .simulate_round(
+            honest.len(),
+            Some(&honest),
+            Some(&attack),
+            PiecewiseMechanism::new,
+            &mut rng,
+            |assign, user, reports| {
+                chunk.extend_from_slice(reports);
+                if user.is_none() || chunk.len() >= 8192 {
                     streamed += chunk.len();
-                    clients[owner].ingest_batch(g, &chunk).expect("in-range reports");
+                    clients[assign.group % DAEMONS].ingest_batch(assign.group, &chunk)?;
                     chunk.clear();
                 }
-            } else {
-                byz_members += 1;
-            }
-        }
-        let mut poison = vec![0.0f64; byz_members * assign.k_t];
-        let n_poison = attack.reports_into(&mut poison, &mech, &mut rng);
-        chunk.extend_from_slice(&poison[..n_poison]);
-        streamed += chunk.len();
-        clients[owner].ingest_batch(g, &chunk).expect("in-range reports");
-    }
+                Ok::<_, WireError>(())
+            },
+        )
+        .expect("in-range reports");
 
     // Pull every daemon's serialized part and merge — exact, because each
     // group lives wholly on one daemon.
@@ -130,6 +126,17 @@ fn main() {
         println!("{:<12} {:>+9.4} {:>+9.4}", scheme.label(), out.mean, out.mean - truth);
     }
     assert!((outputs[1].mean - truth).abs() < 0.1, "EMF* estimate far from truth");
+
+    // Served, sharded and merged, the round is still exactly the one-shot
+    // simulation on the same round seed.
+    let mut rng = estimation::rng::seeded(ROUND_SEED);
+    let reference = Dap::new(config, PiecewiseMechanism::new)
+        .and_then(|dap| dap.run_schemes_on(&honest, byzantine, &attack, &Scheme::ALL, &mut rng))
+        .expect("valid run");
+    for (one_shot, served) in reference.iter().zip(&outputs) {
+        let bits = |o: &DapOutput| [o.mean, o.gamma, o.min_variance].map(f64::to_bits);
+        assert_eq!(bits(one_shot), bits(served), "served run diverged from Dap::run_schemes_on");
+    }
 
     // Stop the daemons; each returns its session, which must hold exactly
     // the reports routed to it.
